@@ -23,5 +23,3 @@ def make_env(name: str, **kwargs) -> Environment:
                           record_actions=kwargs.get("record_actions", False))
     raise ValueError(f"unknown environment {name!r}")
 
-
-ENV_NAMES = ("gridgoal", "polebalance", "minibomber-static", "minibomber-rulebased")

@@ -27,7 +27,7 @@ from .envs.minibomber.board import classify_outcome
 from .envs.minibomber.env import MiniBomber
 from .envs.minibomber.replay import save_replay
 from .losses import LossWeights
-from .model import ModelConfig, forward_batch
+from .model import ModelConfig, forward_batch, sample_action
 from .nn import ParamSet
 from .trainer import TrainConfig, train
 
@@ -333,12 +333,7 @@ def evaluate(checkpoint_path: str, env_name: str, episodes: int, seed: int,
         info = {}
         while not done:
             probs, _, _, _ = forward_batch(params, cfg, obs[None, :])
-            if sample:
-                u = rng.random()
-                action = min(int(np.searchsorted(np.cumsum(probs[0]), u)),
-                             spec.n_actions - 1)
-            else:
-                action = int(np.argmax(probs[0]))
+            action = sample_action(probs[0], rng) if sample else int(np.argmax(probs[0]))
             obs, r, done, info = env.step(action, rng)
             total += r
             steps += 1

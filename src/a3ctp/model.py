@@ -6,19 +6,26 @@ Forward and backward passes are hand-written on top of the nn core. The
 backward pass computes gradients of the combined rollout objective
 (policy gradient with a constant advantage, squared value error, entropy
 bonus, terminal-prediction MSE) in one sweep.
+
+The forward pass reads the trunk's parameter names from its `ModelConfig`,
+computed once per config, and keeps only the arrays the backward pass
+needs: no per-layer records or per-head caches are built per call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .losses import LossWeights
-from .nn import LayerDef, NonFiniteError, ParamSet, backward_mlp, forward_mlp, init_layers
+from .nn import (
+    LayerDef, NonFiniteError, ParamSet, ShapeError, _activate, _activate_grad, dense_backward,
+    init_layers,
+)
 
-
-@dataclass
+@dataclass(frozen=True)
 class ModelConfig:
     obs_dim: int
     n_actions: int
@@ -44,6 +51,11 @@ class ModelConfig:
             "value": LayerDef("value", d, 1, "linear"),
             "tp": LayerDef("tp", d, 1, "linear"),  # sigmoid applied in-head
         }
+
+    @cached_property
+    def trunk_keys(self) -> tuple[tuple[str, str], ...]:
+        """(weight, bias) parameter names of the trunk layers, input first."""
+        return tuple((f"trunk{i}.W", f"trunk{i}.b") for i in range(len(self.hidden)))
 
 
 @dataclass
@@ -83,24 +95,39 @@ def forward_batch(params: ParamSet, cfg: ModelConfig, obs: np.ndarray):
     """Batched forward through trunk and all heads.
 
     obs: (T, obs_dim). Returns (probs (T,A), values (T,), tp (T,), cache).
+    Raises ShapeError on a wrong observation width and NonFiniteError when
+    a head output is NaN or Inf; non-finite trunk activations reach every
+    head, so they raise too.
     """
     obs = np.atleast_2d(np.asarray(obs, dtype=np.float64))
-    trunk_layers = cfg.trunk_layers()
-    heads = cfg.head_layers()
-    h, trunk_cache = forward_mlp(params, obs, trunk_layers)
-    logits, pol_cache = forward_mlp(params, h, [heads["policy"]])
-    v, val_cache = forward_mlp(params, h, [heads["value"]])
-    u, tp_cache = forward_mlp(params, h, [heads["tp"]])
+    if obs.shape[1] != cfg.obs_dim:
+        raise ShapeError(f"input width {obs.shape[1]} does not match fan-in {cfg.obs_dim}")
+    t = params.tensors
+    h = obs
+    pre, post = [], [obs]
+    for wkey, bkey in cfg.trunk_keys:
+        z = h @ t[wkey] + t[bkey]
+        h = _activate(z, cfg.activation)
+        pre.append(z)
+        post.append(h)
+    logits = h @ t["policy.W"] + t["policy.b"]
+    v = h @ t["value.W"] + t["value.b"]
+    u = h @ t["tp.W"] + t["tp.b"]
+    if not (np.isfinite(logits).all() and np.isfinite(v).all() and np.isfinite(u).all()):
+        raise NonFiniteError("non-finite activations in forward pass")
     probs = _softmax(logits)
     tp = 1.0 / (1.0 + np.exp(-u[:, 0]))
-    if not (np.all(np.isfinite(probs)) and np.all(np.isfinite(v))):
-        raise NonFiniteError("non-finite head outputs")
-    cache = {
-        "trunk": trunk_cache, "policy": pol_cache, "value": val_cache,
-        "tp": tp_cache, "probs": probs, "logits": logits,
-        "values": v[:, 0], "tp_pred": tp,
-    }
+    cache = {"pre": pre, "post": post, "probs": probs, "logits": logits,
+             "values": v[:, 0], "tp_pred": tp}
     return probs, v[:, 0], tp, cache
+
+
+def sample_action(probs_row: np.ndarray, rng: np.random.Generator) -> int:
+    """Draw an action index from one row of policy probabilities by inverse
+    CDF with a single uniform draw; rounding that leaves the CDF below the
+    draw falls on the last action."""
+    u = rng.random()
+    return min(int(probs_row.cumsum().searchsorted(u)), probs_row.shape[0] - 1)
 
 
 def model_forward(params: ParamSet, cfg: ModelConfig, obs: np.ndarray) -> ModelOutput:
@@ -148,9 +175,11 @@ def backward_batch(params: ParamSet, cfg: ModelConfig, cache, actions,
     d_v = weights.lambda_v * (-2.0 / T) * (ret - v)
 
     grads = params.zeros_like()
-    d_h_pol, _ = backward_mlp(cache["policy"], d_logits, grads)
-    d_h_val, _ = backward_mlp(cache["value"], d_v[:, None], grads)
-    d_h = d_h_pol + d_h_val
+    g, t = grads.tensors, params.tensors
+    h = cache["post"][-1]
+    # The heads are linear, so their pre-activation gradient is the incoming one.
+    d_h = (dense_backward(h, d_logits, t["policy.W"], g["policy.W"], g["policy.b"])
+           + dense_backward(h, d_v[:, None], t["value.W"], g["value.W"], g["value.b"]))
 
     parts = LossParts(policy_loss=policy_loss, value_loss=value_loss, entropy=ent_mean)
     tp_enabled = use_tp and weights.lambda_tp != 0.0 and tp_targets is not None
@@ -160,13 +189,18 @@ def backward_batch(params: ParamSet, cfg: ModelConfig, cache, actions,
         parts.tp_loss = float(np.mean((y - p) ** 2))
         # d/du of (y - sigmoid(u))^2, averaged over the rollout.
         d_u = weights.lambda_tp * (-2.0 / T) * (y - p) * p * (1.0 - p)
-        d_h_tp, _ = backward_mlp(cache["tp"], d_u[:, None], grads)
-        d_h = d_h + d_h_tp
+        d_h = d_h + dense_backward(h, d_u[:, None], t["tp.W"], g["tp.W"], g["tp.b"])
     else:
         # Head params exist but get zero gradient arrays (from zeros_like).
         parts.tp_loss = 0.0
 
-    backward_mlp(cache["trunk"], d_h, grads)
+    pre, post = cache["pre"], cache["post"]
+    for i in range(len(pre) - 1, -1, -1):
+        wkey, bkey = cfg.trunk_keys[i]
+        dz = d_h * _activate_grad(post[i + 1], pre[i], cfg.activation)
+        # The gradient w.r.t. the observations is never used, so the input
+        # layer skips it.
+        d_h = dense_backward(post[i], dz, t[wkey], g[wkey], g[bkey], need_input=i > 0)
     parts.total = (weights.lambda_v * value_loss
                    + weights.lambda_pi * policy_loss
                    - weights.lambda_h * ent_mean)

@@ -3,14 +3,23 @@ passes for fully-connected stacks, Adam, gradient checking, and a binary
 checkpoint format.
 
 Everything is float64 numpy. Layers are described by `LayerDef` records and
-parameters live in a flat, ordered `ParamSet` keyed by "<layer>.W" and
+parameters live in an ordered `ParamSet` keyed by "<layer>.W" and
 "<layer>.b". There is no graph autodiff: each layer stack has a hand-written
 backward pass, validated against central finite differences.
+
+Flat layout: a `ParamSet` stores all its tensors back to back in one
+contiguous float64 vector (`flat`), in insertion order, and each named
+tensor is a reshaped view of its slice. That order is the manifest order of
+`*.ckpt` files, so serialization is a header plus the buffer's bytes, and
+Adam, the scaling in gradient clipping, copies and zero-filled copies are
+whole-buffer numpy operations. Adam keeps the per-element operations and
+their order, so its results are bit-identical to a per-tensor loop;
+`global_norm` still sums tensor by tensor.
 """
 
 from __future__ import annotations
 
-import io
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,24 +53,50 @@ class LayerDef:
 
 
 class ParamSet:
-    """Flat, ordered map of named float64 tensors plus an update counter.
+    """Ordered map of named float64 tensors over one flat buffer, plus an
+    update counter.
 
-    Iteration order is insertion order, which makes serialization and
-    gradient bookkeeping deterministic.
+    `flat` is one contiguous float64 vector. Each entry of `tensors` is a
+    reshaped view of its slice, in insertion order, which is also the
+    manifest order of the checkpoint format. Whole-set operations (Adam,
+    clipping, copies, serialization) therefore run over `flat` directly.
+    Write through `params[name] = value`: it copies into the existing view,
+    and only a new name repacks the buffer (and detaches earlier views).
     """
 
     def __init__(self, tensors: dict[str, np.ndarray] | None = None, version: int = 0):
-        self.tensors: dict[str, np.ndarray] = {}
+        arrays = [(k, np.asarray(t, dtype=np.float64)) for k, t in (tensors or {}).items()]
+        flat = np.concatenate([a.ravel() for _, a in arrays]) if arrays else np.zeros(0)
+        self._bind(flat, _layout((k, a.shape) for k, a in arrays))
         self.version = version
-        if tensors:
-            for name, t in tensors.items():
-                self.tensors[name] = np.asarray(t, dtype=np.float64)
+
+    def _bind(self, flat: np.ndarray, layout: tuple) -> None:
+        self.flat = flat
+        self.layout = layout
+        self.tensors: dict[str, np.ndarray] = {
+            name: flat[start:stop].reshape(shape) for name, shape, start, stop in layout
+        }
+
+    @classmethod
+    def _over(cls, flat: np.ndarray, layout: tuple, version: int) -> "ParamSet":
+        params = cls.__new__(cls)
+        params._bind(flat, layout)
+        params.version = version
+        return params
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self.tensors[name]
 
     def __setitem__(self, name: str, value: np.ndarray) -> None:
-        self.tensors[name] = np.asarray(value, dtype=np.float64)
+        value = np.asarray(value, dtype=np.float64)
+        if name in self.tensors:
+            view = self.tensors[name]
+            if value.shape != view.shape:
+                raise ShapeError(f"{name} has shape {view.shape}, not {value.shape}")
+            np.copyto(view, value)
+            return
+        shapes = [(k, shape) for k, shape, _, _ in self.layout] + [(name, value.shape)]
+        self._bind(np.concatenate([self.flat, value.ravel()]), _layout(shapes))
 
     def __contains__(self, name: str) -> bool:
         return name in self.tensors
@@ -73,10 +108,10 @@ class ParamSet:
         return list(self.tensors)
 
     def copy(self) -> "ParamSet":
-        return ParamSet({k: v.copy() for k, v in self.tensors.items()}, self.version)
+        return ParamSet._over(self.flat.copy(), self.layout, self.version)
 
     def zeros_like(self) -> "ParamSet":
-        return ParamSet({k: np.zeros_like(v) for k, v in self.tensors.items()}, 0)
+        return ParamSet._over(np.zeros_like(self.flat), self.layout, 0)
 
     def allclose(self, other: "ParamSet", atol: float = 0.0) -> bool:
         if self.names() != other.names():
@@ -88,12 +123,8 @@ class ParamSet:
             return False
         return all(np.array_equal(self[k], other[k]) for k in self)
 
-    def add_scaled(self, other: "ParamSet", scale: float) -> None:
-        """In-place self += scale * other, matching keys required."""
-        for k in self:
-            self.tensors[k] += scale * other[k]
-
     def global_norm(self) -> float:
+        # Summed tensor by tensor, so the result does not depend on the layout.
         total = 0.0
         for t in self.tensors.values():
             total += float(np.sum(t * t))
@@ -102,13 +133,13 @@ class ParamSet:
     # -- serialization ----------------------------------------------------
 
     def to_bytes(self) -> bytes:
-        extra = {"version": str(self.version)}
-        return _tensors_to_bytes(self.tensors, extra)
+        header = _header(self.layout, {"version": str(self.version)})
+        return header + _le_bytes(self.flat)
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "ParamSet":
-        tensors, extra = _tensors_from_bytes(blob)
-        return cls(tensors, version=int(extra.get("version", "0")))
+        layout, flat, extra = _tensors_from_bytes(blob)
+        return cls._over(flat, layout, int(extra.get("version", "0")))
 
     def save(self, path) -> None:
         with open(path, "wb") as f:
@@ -120,48 +151,78 @@ class ParamSet:
             return cls.from_bytes(f.read())
 
 
-def _tensors_to_bytes(tensors: dict[str, np.ndarray], extra: dict[str, str]) -> bytes:
-    """Versioned header (magic, format version, scalar fields, tensor
-    manifest) followed by raw little-endian float64 data in manifest order.
-    """
-    buf = io.BytesIO()
+def _layout(shapes) -> tuple:
+    """(name, shape, start, stop) per tensor, packed back to back."""
+    layout, start = [], 0
+    for name, shape in shapes:
+        stop = start + math.prod(shape)
+        layout.append((name, tuple(shape), start, stop))
+        start = stop
+    return tuple(layout)
+
+
+def _le_bytes(flat: np.ndarray) -> bytes:
+    return np.ascontiguousarray(flat, dtype="<f8").tobytes()
+
+
+def _header(layout: tuple, extra: dict[str, str]) -> bytes:
+    """Versioned header: magic, format version, scalar fields and the tensor
+    manifest. Raw little-endian float64 data follows in manifest order."""
     header = [f"{CHECKPOINT_MAGIC} v{CHECKPOINT_VERSION}"]
     for k, v in extra.items():
         header.append(f"field {k} {v}")
-    header.append(f"tensors {len(tensors)}")
-    for name, t in tensors.items():
-        dims = "x".join(str(d) for d in t.shape) if t.shape else "scalar"
+    header.append(f"tensors {len(layout)}")
+    for name, shape, _, _ in layout:
+        dims = "x".join(str(d) for d in shape) if shape else "scalar"
         header.append(f"tensor {name} {dims}")
     header.append("end-header")
-    buf.write(("\n".join(header) + "\n").encode("ascii"))
-    for t in tensors.values():
-        buf.write(np.ascontiguousarray(t, dtype="<f8").tobytes())
-    return buf.getvalue()
+    return ("\n".join(header) + "\n").encode("ascii")
 
 
-def _tensors_from_bytes(blob: bytes) -> tuple[dict[str, np.ndarray], dict[str, str]]:
-    end = blob.index(b"end-header\n") + len(b"end-header\n")
-    lines = blob[:end].decode("ascii").splitlines()
-    if not lines[0].startswith(CHECKPOINT_MAGIC):
-        raise ValueError("bad magic in tensor blob")
+def _parse_dims(text: str) -> tuple[int, ...]:
+    if text == "scalar":
+        return ()
+    parts = text.split("x")
+    if not all(p.isdigit() for p in parts):
+        raise ValueError(f"malformed tensor dims {text!r}")
+    return tuple(int(p) for p in parts)
+
+
+def _tensors_from_bytes(blob: bytes) -> tuple[tuple, np.ndarray, dict[str, str]]:
+    """Parse a tensor blob into (layout, flat data, fields). Raises
+    ValueError unless the blob is exactly one v1 header followed by exactly
+    the data its manifest describes."""
+    marker = b"\nend-header\n"
+    cut = blob.find(marker)
+    if cut < 0:
+        raise ValueError("tensor blob has no end-header line")
+    end = cut + len(marker)
+    lines = blob[:cut].decode("ascii").split("\n")
+    if lines[0] != f"{CHECKPOINT_MAGIC} v{CHECKPOINT_VERSION}":
+        raise ValueError(f"bad magic or version in tensor blob: {lines[0][:40]!r}")
     extra: dict[str, str] = {}
-    manifest: list[tuple[str, tuple[int, ...]]] = []
+    shapes: list[tuple[str, tuple[int, ...]]] = []
+    count = None
     for line in lines[1:]:
-        parts = line.split()
-        if parts[0] == "field":
+        parts = line.split(" ")
+        if parts[0] == "field" and len(parts) >= 2:
             extra[parts[1]] = " ".join(parts[2:])
-        elif parts[0] == "tensor":
-            name = parts[1]
-            dims = () if parts[2] == "scalar" else tuple(int(d) for d in parts[2].split("x"))
-            manifest.append((name, dims))
-    tensors: dict[str, np.ndarray] = {}
-    offset = end
-    for name, dims in manifest:
-        count = int(np.prod(dims)) if dims else 1
-        arr = np.frombuffer(blob, dtype="<f8", count=count, offset=offset).astype(np.float64)
-        tensors[name] = arr.reshape(dims)
-        offset += count * 8
-    return tensors, extra
+        elif parts[0] == "tensors" and len(parts) == 2 and count is None and parts[1].isdigit():
+            count = int(parts[1])
+        elif parts[0] == "tensor" and len(parts) == 3 and parts[1]:
+            shapes.append((parts[1], _parse_dims(parts[2])))
+        else:
+            raise ValueError(f"malformed header line {line[:60]!r}")
+    if count != len(shapes):
+        raise ValueError(f"header announces {count} tensors, manifest lists {len(shapes)}")
+    if len({name for name, _ in shapes}) != len(shapes):
+        raise ValueError("duplicate tensor name in manifest")
+    layout = _layout(shapes)
+    size = layout[-1][3] if layout else 0
+    if len(blob) - end != 8 * size:
+        raise ValueError(f"manifest needs {8 * size} data bytes, blob has {len(blob) - end}")
+    flat = np.frombuffer(blob, dtype="<f8", count=size, offset=end).astype(np.float64)
+    return layout, flat, extra
 
 
 # -- initialization -------------------------------------------------------
@@ -169,12 +230,12 @@ def _tensors_from_bytes(blob: bytes) -> tuple[dict[str, np.ndarray], dict[str, s
 
 def init_layers(layers: list[LayerDef], rng: np.random.Generator) -> ParamSet:
     """Uniform init in +-1/sqrt(fan_in) for weights, zero biases."""
-    params = ParamSet()
+    tensors = {}
     for layer in layers:
         bound = 1.0 / np.sqrt(layer.fan_in)
-        params[f"{layer.name}.W"] = rng.uniform(-bound, bound, size=(layer.fan_in, layer.fan_out))
-        params[f"{layer.name}.b"] = np.zeros(layer.fan_out)
-    return params
+        tensors[f"{layer.name}.W"] = rng.uniform(-bound, bound, size=(layer.fan_in, layer.fan_out))
+        tensors[f"{layer.name}.b"] = np.zeros(layer.fan_out)
+    return ParamSet(tensors)
 
 
 # -- forward / backward ---------------------------------------------------
@@ -249,23 +310,28 @@ def backward_mlp(cache, d_out: np.ndarray, grads: ParamSet | None = None):
     for i in range(len(layers) - 1, -1, -1):
         layer = layers[i]
         z = cache["pre"][i]
-        a = cache["post"][i + 1]
-        x = cache["post"][i]
         if d.shape != z.shape:
             raise ShapeError("output-gradient shape does not match cache")
-        dz = d * _activate_grad(a, z, layer.activation)
-        dW = x.T @ dz
-        db = dz.sum(axis=0)
+        dz = d * _activate_grad(cache["post"][i + 1], z, layer.activation)
         wkey, bkey = f"{layer.name}.W", f"{layer.name}.b"
-        if wkey in grads:
-            grads.tensors[wkey] += dW
-            grads.tensors[bkey] += db
-        else:
-            grads[wkey] = dW
-            grads[bkey] = db
-        d = dz @ cache["weights"][i].T
+        if wkey not in grads:
+            grads[wkey] = np.zeros((layer.fan_in, layer.fan_out))
+            grads[bkey] = np.zeros(layer.fan_out)
+        d = dense_backward(cache["post"][i], dz, cache["weights"][i], grads[wkey], grads[bkey])
     d_input = d[0] if cache["single"] else d
     return d_input, grads
+
+
+def dense_backward(x: np.ndarray, dz: np.ndarray, W: np.ndarray, gW: np.ndarray,
+                   gb: np.ndarray, need_input: bool = True) -> np.ndarray | None:
+    """One layer y = act(x @ W + b) backwards: given dz = dLoss/d(x @ W + b),
+    accumulate dLoss/dW into gW and dLoss/db into gb, in place, and return
+    dLoss/dx (None unless need_input)."""
+    if dz.shape != (x.shape[0], W.shape[1]):
+        raise ShapeError("output-gradient shape does not match cache")
+    gW += x.T @ dz
+    gb += dz.sum(axis=0)
+    return dz @ W.T if need_input else None
 
 
 # -- Adam -----------------------------------------------------------------
@@ -273,7 +339,7 @@ def backward_mlp(cache, d_out: np.ndarray, grads: ParamSet | None = None):
 
 @dataclass
 class AdamState:
-    """Shared Adam accumulators mirroring a ParamSet."""
+    """Shared Adam accumulators mirroring a ParamSet's layout."""
 
     m: ParamSet
     v: ParamSet
@@ -282,6 +348,8 @@ class AdamState:
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
+    # Two flat temporaries for adam_step, allocated on its first call.
+    _scratch: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def for_params(cls, params: ParamSet, lr: float = 1e-4, beta1: float = 0.9,
@@ -294,8 +362,8 @@ class AdamState:
                          self.lr, self.beta1, self.beta2, self.eps)
 
     def to_bytes(self) -> bytes:
-        tensors = {f"m:{k}": v for k, v in self.m.tensors.items()}
-        tensors.update({f"v:{k}": v for k, v in self.v.tensors.items()})
+        layout = _layout([(f"m:{k}", shape) for k, shape, _, _ in self.m.layout]
+                         + [(f"v:{k}", shape) for k, shape, _, _ in self.v.layout])
         extra = {
             "step": str(self.step),
             "lr": repr(self.lr),
@@ -303,11 +371,12 @@ class AdamState:
             "beta2": repr(self.beta2),
             "eps": repr(self.eps),
         }
-        return _tensors_to_bytes(tensors, extra)
+        return _header(layout, extra) + _le_bytes(self.m.flat) + _le_bytes(self.v.flat)
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "AdamState":
-        tensors, extra = _tensors_from_bytes(blob)
+        layout, flat, extra = _tensors_from_bytes(blob)
+        tensors = {name: flat[start:stop].reshape(shape) for name, shape, start, stop in layout}
         m = ParamSet({k[2:]: v for k, v in tensors.items() if k.startswith("m:")})
         v = ParamSet({k[2:]: v for k, v in tensors.items() if k.startswith("v:")})
         return cls(m=m, v=v, step=int(extra["step"]), lr=float(extra["lr"]),
@@ -327,22 +396,39 @@ class AdamState:
 def adam_step(params: ParamSet, grads: ParamSet, state: AdamState) -> None:
     """One Adam update with bias correction, in place on params and state.
 
-    Increments params.version by exactly 1.
+    Runs over the flat buffers with two preallocated temporaries. Each
+    elementwise operation has the operands and the order of the textbook
+    per-tensor update
+        m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*(g*g)
+        p = p - lr*(m/(1-b1**t)) / (sqrt(v/(1-b2**t)) + eps)
+    so the result is bit-identical to it. Increments params.version by
+    exactly 1.
     """
-    if params.names() != state.m.names():
+    if params.layout != state.m.layout or params.layout != state.v.layout:
         raise ShapeError("optimizer state does not mirror params")
+    if grads.layout != params.layout:
+        raise ShapeError("gradient layout does not match params")
     state.step += 1
     t = state.step
     b1, b2 = state.beta1, state.beta2
-    for k in params:
-        g = grads[k]
-        if g.shape != params[k].shape:
-            raise ShapeError(f"gradient shape mismatch for {k}")
-        state.m.tensors[k] = b1 * state.m[k] + (1.0 - b1) * g
-        state.v.tensors[k] = b2 * state.v[k] + (1.0 - b2) * (g * g)
-        m_hat = state.m[k] / (1.0 - b1 ** t)
-        v_hat = state.v[k] / (1.0 - b2 ** t)
-        params.tensors[k] = params[k] - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    p, g, m, v = params.flat, grads.flat, state.m.flat, state.v.flat
+    if state._scratch is None or state._scratch[0].shape != p.shape:
+        state._scratch = (np.empty_like(p), np.empty_like(p))
+    s, r = state._scratch
+    np.multiply(m, b1, out=m)
+    np.multiply(g, 1.0 - b1, out=s)
+    np.add(m, s, out=m)
+    np.multiply(g, g, out=s)
+    np.multiply(s, 1.0 - b2, out=s)
+    np.multiply(v, b2, out=v)
+    np.add(v, s, out=v)
+    np.divide(m, 1.0 - b1 ** t, out=s)
+    np.multiply(s, state.lr, out=s)
+    np.divide(v, 1.0 - b2 ** t, out=r)
+    np.sqrt(r, out=r)
+    np.add(r, state.eps, out=r)
+    np.divide(s, r, out=s)
+    np.subtract(p, s, out=p)
     params.version += 1
 
 
@@ -351,9 +437,7 @@ def clip_global_norm(grads: ParamSet, max_norm: float) -> float:
     Returns the pre-clip norm."""
     norm = grads.global_norm()
     if max_norm > 0.0 and norm > max_norm:
-        scale = max_norm / norm
-        for k in grads:
-            grads.tensors[k] *= scale
+        grads.flat *= max_norm / norm
     return norm
 
 

@@ -2,9 +2,15 @@
 
 Each worker owns a private environment, a seeded rng, and a local copy of
 the network parameters. It collects rollouts of up to t_max steps (never
-crossing an episode boundary), computes gradients of the combined loss
-locally, applies them to the shared global network under a single writer
-lock, and refreshes its local copy from the updated global parameters.
+crossing an episode boundary), computes and norm-clips gradients of the
+combined loss locally, applies them to the shared global network under a
+single writer lock, and refreshes its local copy from the updated global
+parameters.
+
+Only three things run under the lock: the Adam step over the flat
+parameter buffer, the version bump, and an `np.copyto` of the new global
+buffer into the worker's own local buffer. Clipping, when asked for, runs
+before the lock is taken, and nothing is allocated inside it.
 
 Episode-length statistics feed one global TPLabeler so terminal-prediction
 targets are computable at rollout time, before the episode finishes.
@@ -23,7 +29,9 @@ import numpy as np
 
 from .envs.base import Environment
 from .losses import LossWeights, TPLabeler, advantages, n_step_returns, tp_targets
-from .model import LossParts, ModelConfig, backward_batch, forward_batch, init_model
+from .model import (
+    LossParts, ModelConfig, backward_batch, forward_batch, init_model, sample_action,
+)
 from .nn import AdamState, ParamSet, adam_step, clip_global_norm
 
 DEFAULT_CLIP_NORM = 40.0
@@ -103,14 +111,23 @@ class GlobalStore:
         with self._lock:
             return self.params.copy()
 
-    def apply_and_sync(self, grads: ParamSet, clip_norm: float = DEFAULT_CLIP_NORM) -> ParamSet:
-        """One clipped Adam step on the global params; returns a fresh local
-        snapshot."""
-        with self._lock:
+    def apply_and_sync(self, grads: ParamSet, clip_norm: float = DEFAULT_CLIP_NORM,
+                       local: ParamSet | None = None) -> ParamSet:
+        """One Adam step on the global params with grads clipped to
+        clip_norm (no clipping, and no norm, when clip_norm <= 0). The new
+        global params and version are copied into `local`, a ParamSet of
+        the same layout, which is returned; without one a new set is
+        allocated, outside the lock."""
+        if clip_norm > 0.0:
             clip_global_norm(grads, clip_norm)
+        if local is None:
+            local = self.params.zeros_like()
+        with self._lock:
             adam_step(self.params, grads, self.optimizer)
             self.update_count += 1
-            return self.params.copy()
+            np.copyto(local.flat, self.params.flat)
+            local.version = self.params.version
+        return local
 
     def finish_episode(self, reward: float, window: int) -> tuple[int, float | None]:
         """Record a completed episode; returns (global episode index,
@@ -139,9 +156,7 @@ def collect_rollout(params: ParamSet, cfg: ModelConfig, env: Environment,
     done = False
     for _ in range(t_max):
         probs, v, tp, _ = forward_batch(params, cfg, obs[None, :])
-        u = rng.random()
-        action = int(np.searchsorted(np.cumsum(probs[0]), u))
-        action = min(action, probs.shape[1] - 1)
+        action = sample_action(probs[0], rng)
         next_obs, reward, done, _info = env.step(action, rng)
         obs_list.append(obs)
         actions.append(action)
@@ -256,7 +271,7 @@ def _worker_loop(wid: int, cfg: TrainConfig, env: Environment,
         grads, parts = compute_update(rollout, local, cfg.model, cfg.weights,
                                       store.labeler.horizon, use_tp=cfg.use_tp,
                                       clip_norm=cfg.clip_norm)
-        local = store.apply_and_sync(grads, clip_norm=-1.0)  # already clipped
+        store.apply_and_sync(grads, clip_norm=-1.0, local=local)  # already clipped
         acc.policy_loss += parts.policy_loss
         acc.value_loss += parts.value_loss
         acc.tp_loss += parts.tp_loss

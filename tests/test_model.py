@@ -7,9 +7,10 @@ import pytest
 
 from a3ctp.losses import LossWeights
 from a3ctp.model import (
-    ModelConfig, init_model, model_backward, model_forward, rollout_loss,
+    ModelConfig, backward_batch, forward_batch, init_model, model_backward,
+    model_forward, rollout_loss, sample_action,
 )
-from a3ctp.nn import ParamSet, gradient_check
+from a3ctp.nn import NonFiniteError, ParamSet, ShapeError, backward_mlp, forward_mlp, gradient_check
 
 
 def small_cfg(obs_dim=6, n_actions=4, hidden=(8, 8)):
@@ -174,3 +175,101 @@ class TestTPInteraction:
                 assert np.array_equal(g_on[k], g_off[k]), k
         assert any(not np.array_equal(g_on[k], g_off[k])
                    for k in g_on if k.startswith(("tp", "trunk")))
+
+
+def layered_forward(params, cfg, obs):
+    """Forward pass composed from nn.forward_mlp, one stack per head: the
+    reference the model's forward must match bit for bit."""
+    obs = np.atleast_2d(np.asarray(obs, dtype=np.float64))
+    heads = cfg.head_layers()
+    h, trunk_cache = forward_mlp(params, obs, cfg.trunk_layers())
+    logits, pol = forward_mlp(params, h, [heads["policy"]])
+    v, val = forward_mlp(params, h, [heads["value"]])
+    u, tp_cache = forward_mlp(params, h, [heads["tp"]])
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    probs = e / e.sum(axis=-1, keepdims=True)
+    tp = 1.0 / (1.0 + np.exp(-u[:, 0]))
+    return probs, v[:, 0], tp, (trunk_cache, pol, val, tp_cache)
+
+
+def layered_backward(params, cfg, obs, actions, adv, ret, y, w, use_tp):
+    """Backward pass composed from nn.backward_mlp with the same loss
+    arithmetic as the model: the reference for its gradients."""
+    probs, v, tp_pred, (trunk, pol, val, tp_cache) = layered_forward(params, cfg, obs)
+    T, A = probs.shape
+    z = pol["pre"][0] - pol["pre"][0].max(axis=-1, keepdims=True)
+    logp = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    onehot = np.zeros((T, A))
+    onehot[np.arange(T), actions] = 1.0
+    ent = -np.sum(probs * logp, axis=1)
+    d_logits = w.lambda_pi * adv[:, None] * (probs - onehot) / T
+    d_logits += w.lambda_h * probs * (logp + ent[:, None]) / T
+    d_v = w.lambda_v * (-2.0 / T) * (ret - v)
+    grads = params.zeros_like()
+    d_h_pol, _ = backward_mlp(pol, d_logits, grads)
+    d_h_val, _ = backward_mlp(val, d_v[:, None], grads)
+    d_h = d_h_pol + d_h_val
+    if use_tp:
+        d_u = w.lambda_tp * (-2.0 / T) * (y - tp_pred) * tp_pred * (1.0 - tp_pred)
+        d_h_tp, _ = backward_mlp(tp_cache, d_u[:, None], grads)
+        d_h = d_h + d_h_tp
+    backward_mlp(trunk, d_h, grads)
+    return grads
+
+
+class TestLeanPasses:
+    @pytest.mark.parametrize("T", [1, 7])
+    def test_forward_bit_identical_to_layered_reference(self, T):
+        cfg = small_cfg(obs_dim=9, n_actions=5, hidden=(16, 12))
+        params = init_model(cfg, np.random.default_rng(30))
+        obs = np.random.default_rng(31).normal(size=(T, 9))
+        got = forward_batch(params, cfg, obs)[:3]
+        want = layered_forward(params, cfg, obs)[:3]
+        for a, b in zip(got, want):
+            assert a.shape == b.shape and np.array_equal(a, b)
+
+    @pytest.mark.parametrize("use_tp", [True, False])
+    def test_backward_bit_identical_to_layered_reference(self, use_tp):
+        cfg = small_cfg(obs_dim=9, n_actions=5, hidden=(16, 12))
+        params = init_model(cfg, np.random.default_rng(32))
+        rng = np.random.default_rng(33)
+        T = 20
+        obs = rng.normal(size=(T, 9))
+        actions = rng.integers(0, 5, size=T)
+        adv, ret, y = rng.normal(size=T), rng.normal(size=T), rng.random(T)
+        w = LossWeights()
+        _, _, _, cache = forward_batch(params, cfg, obs)
+        got, _ = backward_batch(params, cfg, cache, actions, adv, ret, y, w, use_tp=use_tp)
+        want = layered_backward(params, cfg, obs, actions, adv, ret, y, w, use_tp)
+        assert got.names() == want.names()
+        for k in got:
+            assert np.array_equal(got[k], want[k]), k
+
+    def test_forward_checks_width_and_finiteness(self):
+        cfg = small_cfg()
+        params = init_model(cfg, np.random.default_rng(34))
+        with pytest.raises(ShapeError):
+            forward_batch(params, cfg, np.zeros((1, 5)))
+        for key in ("trunk0.b", "tp.b"):
+            bad = params.copy()
+            bad[key] = np.full_like(bad[key], np.nan)
+            with pytest.raises(NonFiniteError):
+                forward_batch(bad, cfg, np.zeros((1, 6)))
+
+
+class TestSampleAction:
+    def test_matches_inverse_cdf_with_one_draw(self):
+        rng = np.random.default_rng(40)
+        for _ in range(200):
+            probs = rng.dirichlet(np.ones(5))
+            a, b = np.random.default_rng(7), np.random.default_rng(7)
+            u = b.random()
+            want = min(int(np.searchsorted(np.cumsum(probs), u)), 4)
+            assert sample_action(probs, a) == want
+            assert a.random() == b.random()  # exactly one draw consumed
+
+    def test_short_cdf_falls_on_last_action(self):
+        probs = np.array([0.1, 0.1, 0.1])  # sums to 0.3: most draws exceed it
+        rng = np.random.default_rng(0)
+        assert {sample_action(probs, rng) for _ in range(50)} <= {0, 1, 2}
+        assert sample_action(probs, np.random.default_rng(0)) == 2

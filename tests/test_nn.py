@@ -2,8 +2,13 @@
 Adam against a direct transcription of its update equations, gradient
 checking, and bit-exact serialization."""
 
+import io
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from a3ctp.nn import (
     AdamState, GradCheckReport, LayerDef, ParamSet, ShapeError, adam_step,
@@ -262,3 +267,190 @@ class TestClip:
         g = ParamSet({"a.W": np.array([[30.0]]), "a.b": np.array([40.0])})
         clip_global_norm(g, 5.0)
         assert np.isclose(g.global_norm(), 5.0)
+
+
+def per_tensor_adam_step(params, grads, m, v, t, lr, b1, b2, eps):
+    """The per-tensor Adam loop that preceded the flat buffer, on dicts of
+    arrays: the reference the flat update must match bit for bit."""
+    for k in params:
+        g = grads[k]
+        m[k] = b1 * m[k] + (1.0 - b1) * g
+        v[k] = b2 * v[k] + (1.0 - b2) * (g * g)
+        m_hat = m[k] / (1.0 - b1 ** t)
+        v_hat = v[k] / (1.0 - b2 ** t)
+        params[k] = params[k] - lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
+def per_tensor_to_bytes(tensors, extra):
+    """The per-tensor checkpoint writer that preceded the flat buffer."""
+    buf = io.BytesIO()
+    header = ["A3CTP-TENSORS v1"]
+    for k, val in extra.items():
+        header.append(f"field {k} {val}")
+    header.append(f"tensors {len(tensors)}")
+    for name, t in tensors.items():
+        dims = "x".join(str(d) for d in t.shape) if t.shape else "scalar"
+        header.append(f"tensor {name} {dims}")
+    header.append("end-header")
+    buf.write(("\n".join(header) + "\n").encode("ascii"))
+    for t in tensors.values():
+        buf.write(np.ascontiguousarray(t, dtype="<f8").tobytes())
+    return buf.getvalue()
+
+
+class TestFlatBuffer:
+    def test_views_share_the_buffer_in_insertion_order(self):
+        rng = np.random.default_rng(0)
+        _, params = three_layer_net(rng)
+        assert params.flat.flags["C_CONTIGUOUS"] and params.flat.dtype == np.float64
+        assert params.flat.size == sum(params[k].size for k in params)
+        offset = 0
+        for k in params:
+            t = params[k]
+            assert np.shares_memory(t, params.flat)
+            assert np.array_equal(t.ravel(), params.flat[offset:offset + t.size])
+            offset += t.size
+        params.flat[:] = 3.0
+        assert all(np.all(params[k] == 3.0) for k in params)
+
+    def test_copy_and_zeros_like_are_independent(self):
+        rng = np.random.default_rng(1)
+        _, params = three_layer_net(rng)
+        params.version = 7
+        before = params.flat.copy()
+        dup, zeros = params.copy(), params.zeros_like()
+        assert dup.version == 7 and zeros.version == 0
+        assert dup.names() == zeros.names() == params.names()
+        assert not np.shares_memory(dup.flat, params.flat)
+        assert not np.shares_memory(zeros.flat, params.flat)
+        assert np.array_equal(dup.flat, before) and not zeros.flat.any()
+        dup["l0.W"][:] = 5.0
+        zeros.flat += 1.0
+        assert np.array_equal(params.flat, before)
+        params.flat[:] = -1.0
+        assert not np.any(dup["l1.W"] == -1.0) and np.all(zeros.flat == 1.0)
+
+    def test_setitem_existing_name_writes_in_place(self):
+        params = ParamSet({"a.W": np.zeros((2, 3)), "a.b": np.zeros(3)})
+        flat, view = params.flat, params["a.b"]
+        params["a.b"] = np.array([1.0, 2.0, 3.0])
+        assert params.flat is flat and params["a.b"] is view
+        assert np.array_equal(flat, [0.0] * 6 + [1.0, 2.0, 3.0])
+        with pytest.raises(ShapeError):
+            params["a.b"] = np.zeros(4)
+
+    def test_setitem_new_name_extends_the_layout(self):
+        params = ParamSet({"a.W": np.ones((2, 2))})
+        params["a.b"] = np.array([7.0, 8.0])
+        params["s"] = 9.0
+        assert params.names() == ["a.W", "a.b", "s"]
+        assert params["s"].shape == ()
+        assert np.array_equal(params.flat, [1.0, 1.0, 1.0, 1.0, 7.0, 8.0, 9.0])
+        assert all(np.shares_memory(params[k], params.flat) for k in params)
+
+    def test_adam_equals_per_tensor_reference_over_50_steps(self):
+        rng = np.random.default_rng(12)
+        _, params = three_layer_net(rng)
+        state = AdamState.for_params(params, lr=3e-3)
+        ref_p = {k: params[k].copy() for k in params}
+        ref_m = {k: np.zeros_like(params[k]) for k in params}
+        ref_v = {k: np.zeros_like(params[k]) for k in params}
+        for t in range(1, 51):
+            grads = params.zeros_like()
+            for k in grads:
+                grads[k] = rng.normal(scale=10.0 ** rng.uniform(-6, 2), size=grads[k].shape)
+            adam_step(params, grads, state)
+            per_tensor_adam_step(ref_p, grads.tensors, ref_m, ref_v, t,
+                                 3e-3, 0.9, 0.999, 1e-8)
+            for k in params:
+                assert np.array_equal(params[k], ref_p[k]), (t, k)
+                assert np.array_equal(state.m[k], ref_m[k]), (t, k)
+                assert np.array_equal(state.v[k], ref_v[k]), (t, k)
+        assert state.step == 50 and params.version == 50
+
+    def test_adam_rejects_state_of_another_layout(self):
+        params = ParamSet({"p.W": np.ones((2, 2)), "p.b": np.zeros(2)})
+        other = ParamSet({"p.b": np.zeros(2), "p.W": np.ones((2, 2))})
+        with pytest.raises(ShapeError):
+            adam_step(params, params.zeros_like(), AdamState.for_params(other))
+
+    def test_to_bytes_equals_per_tensor_writer(self):
+        rng = np.random.default_rng(8)
+        _, params = three_layer_net(rng)
+        params.version = 31
+        assert params.to_bytes() == per_tensor_to_bytes(params.tensors, {"version": "31"})
+        state = AdamState.for_params(params, lr=2e-4)
+        adam_step(params, params.copy(), state)
+        tensors = {f"m:{k}": state.m[k] for k in params}
+        tensors.update({f"v:{k}": state.v[k] for k in params})
+        extra = {"step": "1", "lr": repr(2e-4), "beta1": repr(0.9),
+                 "beta2": repr(0.999), "eps": repr(1e-8)}
+        assert state.to_bytes() == per_tensor_to_bytes(tensors, extra)
+
+
+names = st.from_regex(r"[a-z][a-z0-9_.:]{0,10}", fullmatch=True)
+shapes = st.lists(st.integers(0, 4), max_size=3).map(tuple)  # () is a scalar
+
+
+@st.composite
+def tensor_dicts(draw):
+    keys = draw(st.lists(names, max_size=6, unique=True))
+    return {k: draw(arrays(np.float64, draw(shapes),
+                           elements=st.floats(allow_nan=False, width=64)))
+            for k in keys}
+
+
+class TestStrictParser:
+    @settings(max_examples=60, deadline=None)
+    @given(tensor_dicts(), st.integers(0, 2**62))
+    def test_roundtrip_property(self, tensors, version):
+        params = ParamSet(tensors, version=version)
+        blob = params.to_bytes()
+        assert blob == per_tensor_to_bytes(tensors, {"version": str(version)})
+        restored = ParamSet.from_bytes(blob)
+        assert restored.version == version
+        assert restored.names() == list(tensors)
+        for k, t in tensors.items():
+            assert restored[k].shape == t.shape
+            assert restored[k].tobytes() == t.tobytes()
+        assert restored.to_bytes() == blob
+
+    def _blob(self):
+        params = ParamSet({"a.W": np.arange(6.0).reshape(2, 3), "a.b": np.ones(3),
+                           "s": np.array(2.5)}, version=4)
+        return params.to_bytes()
+
+    def test_valid_v1_blob_reads(self):
+        blob = self._blob()
+        assert blob.startswith(b"A3CTP-TENSORS v1\nfield version 4\ntensors 3\n")
+        assert ParamSet.from_bytes(blob)["s"].shape == ()
+
+    def test_rejects_other_format_version(self):
+        blob = self._blob().replace(b"A3CTP-TENSORS v1", b"A3CTP-TENSORS v2", 1)
+        with pytest.raises(ValueError):
+            ParamSet.from_bytes(blob)
+
+    def test_rejects_trailing_bytes(self):
+        with pytest.raises(ValueError):
+            ParamSet.from_bytes(self._blob() + b"\x00" * 8)
+
+    def test_rejects_count_that_disagrees_with_manifest(self):
+        blob = self._blob().replace(b"tensors 3\n", b"tensors 2\n", 1)
+        with pytest.raises(ValueError):
+            ParamSet.from_bytes(blob)
+
+    def test_rejects_missing_end_header(self):
+        blob = self._blob().replace(b"end-header\n", b"", 1)
+        with pytest.raises(ValueError):
+            ParamSet.from_bytes(blob)
+
+    @pytest.mark.parametrize("line", [b"tensor a.b", b"tensor a.b 3xq",
+                                      b"tensor a.b 3 extra", b"tensor a.b -3"])
+    def test_rejects_malformed_tensor_line(self, line):
+        blob = self._blob().replace(b"tensor a.b 3", line, 1)
+        with pytest.raises(ValueError):
+            ParamSet.from_bytes(blob)
+
+    def test_rejects_truncated_data(self):
+        with pytest.raises(ValueError):
+            ParamSet.from_bytes(self._blob()[:-8])

@@ -2,10 +2,13 @@
 parameter store, and end-to-end determinism of single-worker training."""
 
 import queue
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+from a3ctp import trainer
 from a3ctp.envs.gridgoal import GridGoal
 from a3ctp.losses import LossWeights, TPLabeler
 from a3ctp.model import ModelConfig, init_model
@@ -118,6 +121,17 @@ class TestGlobalStore:
         store.apply_and_sync(g.copy())
         assert store.version == v0 + 2 and store.update_count == 2
 
+    def test_sync_copies_into_the_local_buffer(self):
+        cfg, store = self._store()
+        local = store.snapshot()
+        flat = local.flat
+        g = store.params.zeros_like()
+        g["policy.b"] = np.ones_like(g["policy.b"])
+        assert store.apply_and_sync(g, clip_norm=-1.0, local=local) is local
+        assert local.flat is flat and local.version == store.version == 1
+        assert local.equal_bits(store.params)
+        assert not np.shares_memory(local.flat, store.params.flat)
+
     def test_snapshot_is_independent(self):
         cfg, store = self._store()
         snap = store.snapshot()
@@ -206,3 +220,66 @@ class TestTrain:
         while (row := q.get()) is not None:
             lengths.append(row.length)
         assert store.labeler.horizon == pytest.approx(np.mean(lengths))
+
+
+class TestLock:
+    def test_norm_runs_once_per_update(self, monkeypatch):
+        # The worker clips in compute_update and applies with clip_norm=-1,
+        # so the global norm must not be computed a second time under the lock.
+        calls = []
+        real = trainer.clip_global_norm
+
+        def counting(grads, max_norm):
+            calls.append(max_norm)
+            return real(grads, max_norm)
+
+        monkeypatch.setattr(trainer, "clip_global_norm", counting)
+        store = train(TrainConfig(model=ModelConfig(16, 4, (8,)), n_workers=1,
+                                  seed=3, episode_budget=10),
+                      lambda wid: GridGoal(4, max_steps=20))
+        assert store.update_count > 0
+        assert len(calls) == store.update_count
+        assert all(c == trainer.DEFAULT_CLIP_NORM for c in calls)
+
+    def test_concurrent_updates_are_neither_lost_nor_torn(self):
+        n_threads, k = 6, 40
+        cfg, params = tiny_model(hidden=(32,))
+        grads = params.zeros_like()
+        grads.flat[:] = np.random.default_rng(9).normal(size=grads.flat.size)
+
+        serial = GlobalStore(params.copy(), AdamState.for_params(params))
+        local = serial.snapshot()
+        for _ in range(n_threads * k):
+            serial.apply_and_sync(grads.copy(), clip_norm=-1.0, local=local)
+
+        store = GlobalStore(params.copy(), AdamState.for_params(params))
+        errors = []
+        start = threading.Barrier(n_threads)
+
+        def work():
+            try:
+                mine, g = store.snapshot(), grads.copy()
+                start.wait(timeout=30)
+                for _ in range(k):
+                    store.apply_and_sync(g, clip_norm=-1.0, local=mine)
+                    assert mine.version <= store.version
+            except BaseException as exc:
+                errors.append(exc)
+
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, daemon=True) for _ in range(n_threads)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old_interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors, errors
+        assert store.version == store.update_count == n_threads * k
+        assert store.optimizer.step == n_threads * k
+        assert store.params.equal_bits(serial.params)
+        assert store.optimizer.m.equal_bits(serial.optimizer.m)
+        assert store.optimizer.v.equal_bits(serial.optimizer.v)
