@@ -66,6 +66,7 @@ class Bomb:
     radius: int
     direction: tuple[int, int] | None = None  # set while sliding from a kick
     just_placed: bool = False
+    just_kicked: bool = False  # moved by a kick this step; slides from the next
 
 
 @dataclass
@@ -259,7 +260,7 @@ class BomberBoard:
         for b in self.bombs:
             if b.direction is None:
                 continue
-            if getattr(b, "just_kicked", False):
+            if b.just_kicked:
                 b.just_kicked = False  # already moved this step via the kick
                 continue
             dr, dc = b.direction
@@ -447,8 +448,11 @@ def _carve_corridor(grid: np.ndarray, a: tuple[int, int], b: tuple[int, int]) ->
 
 
 def board_to_text(board: BomberBoard) -> str:
-    """Human-readable full state: one char per cell plus an entity list."""
-    lines = [f"minibomber v1 n={board.n} step={board.step_count} cap={board.step_cap}"]
+    """Human-readable full state (format v2): one char per cell plus an
+    entity list; the header carries the bomb owner behind each death."""
+    killers = ",".join("-" if k is None else str(k) for k in board.killers)
+    lines = [f"minibomber v2 n={board.n} step={board.step_count} cap={board.step_cap} "
+             f"killers={killers}"]
     for r in range(board.n):
         lines.append("".join(CELL_CHARS[int(board.grid[r, c])] for c in range(board.n)))
     for i, a in enumerate(board.agents):
@@ -474,11 +478,17 @@ def board_to_text(board: BomberBoard) -> str:
 
 
 def board_from_text(text: str) -> BomberBoard:
+    """Read board text v2, or v1 (no killers: both read back as None)."""
     lines = text.strip().splitlines()
+    magic = lines[0].split()[:2]
+    if magic not in (["minibomber", "v1"], ["minibomber", "v2"]):
+        raise ValueError(f"not minibomber board text v1 or v2: {lines[0][:40]!r}")
     head = dict(kv.split("=") for kv in lines[0].split()[2:])
     n = int(head["n"])
     board = BomberBoard(n, step_cap=int(head["cap"]))
     board.step_count = int(head["step"])
+    if magic[1] == "v2":
+        board.killers = [None if k == "-" else int(k) for k in head["killers"].split(",")]
     for r in range(n):
         for c, ch in enumerate(lines[1 + r]):
             board.grid[r, c] = CHAR_CELLS[ch]

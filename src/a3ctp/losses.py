@@ -5,6 +5,12 @@ Covers n-step returns, advantages, policy entropy, terminal-prediction
 targets/loss, the combined weighted objective, and the running-average
 episode-length tracker that supplies the horizon for terminal-prediction
 labels.
+
+This module is the one place where the A3C-TP objective is written down:
+`loss_parts` turns the model's forward outputs over a rollout into
+`LossParts`, and it alone decides whether the terminal-prediction term is
+on (targets given and lambda_tp != 0). The model's backward pass and its
+forward-only loss both read its result; plain A3C is lambda_tp == 0.
 """
 
 from __future__ import annotations
@@ -16,6 +22,16 @@ from dataclasses import dataclass
 import numpy as np
 
 EPISODE_LENGTH_WINDOW = 100  # most recent completed episodes averaged for N
+
+
+@dataclass
+class LossParts:
+    policy_loss: float = 0.0
+    value_loss: float = 0.0
+    entropy: float = 0.0
+    tp_loss: float = 0.0
+    total: float = 0.0
+    tp_on: bool = False  # whether the terminal-prediction term counts
 
 
 @dataclass
@@ -121,6 +137,38 @@ def combined_loss(policy_loss: float, value_loss: float, entropy_mean: float,
     if weights.lambda_tp != 0.0:
         total = total + weights.lambda_tp * tp_loss_value
     return float(total)
+
+
+def loss_parts(logp, probs, values, tp_pred, actions, advantages, returns,
+               tp_targets, weights: LossWeights) -> LossParts:
+    """The combined objective over one rollout of length T, from batched
+    forward outputs: log-probs and probs (T, A), values and terminal
+    predictions (T,). Each term is a mean over the rollout:
+      policy:  -log pi(a_t) * A_t   (advantage treated as a constant)
+      value:   (R_t - V_t)^2
+      entropy: H(pi_t), entering the total with a negative weight
+      tp:      (y_t - y_t^p)^2, only when tp_targets is given and
+               lambda_tp != 0 (recorded in `tp_on`; otherwise tp_loss is 0)
+    Raises IndexError on an action outside [0, A) and FloatingPointError on
+    a non-finite part.
+    """
+    T, A = probs.shape
+    actions = np.asarray(actions, dtype=np.intp)
+    if np.any(actions < 0) or np.any(actions >= A):
+        raise IndexError("action index out of range")
+    adv = np.asarray(advantages, dtype=np.float64)
+    ret = np.asarray(returns, dtype=np.float64)
+    parts = LossParts(
+        policy_loss=float(np.mean(-logp[np.arange(T), actions] * adv)),
+        value_loss=float(np.mean((ret - values) ** 2)),
+        entropy=float(np.mean(-np.sum(probs * logp, axis=1))),
+        tp_on=tp_targets is not None and weights.lambda_tp != 0.0,
+    )
+    if parts.tp_on:
+        parts.tp_loss = tp_loss(tp_targets, tp_pred)
+    parts.total = combined_loss(parts.policy_loss, parts.value_loss, parts.entropy,
+                                parts.tp_loss, weights)
+    return parts
 
 
 class TPLabeler:

@@ -3,9 +3,10 @@ softmax policy head, a linear value head, and a sigmoid terminal-prediction
 head.
 
 Forward and backward passes are hand-written on top of the nn core. The
-backward pass computes gradients of the combined rollout objective
-(policy gradient with a constant advantage, squared value error, entropy
-bonus, terminal-prediction MSE) in one sweep.
+objective itself (policy gradient with a constant advantage, squared value
+error, entropy bonus, terminal-prediction MSE) and the switch for its
+terminal-prediction term live in `losses.loss_parts`; the backward pass
+takes the parts from there and adds only their gradients, in one sweep.
 
 The forward pass reads the trunk's parameter names from its `ModelConfig`,
 computed once per config, and keeps only the arrays the backward pass
@@ -19,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .losses import LossWeights
+from .losses import LossWeights, loss_parts
 from .nn import (
     LayerDef, NonFiniteError, ParamSet, ShapeError, _activate, _activate_grad, dense_backward,
     init_layers,
@@ -63,15 +64,6 @@ class ModelOutput:
     policy: np.ndarray       # probabilities over actions, sums to 1
     value: float             # critic estimate
     tp_prediction: float     # predicted closeness to terminal, in (0, 1)
-
-
-@dataclass
-class LossParts:
-    policy_loss: float = 0.0
-    value_loss: float = 0.0
-    entropy: float = 0.0
-    tp_loss: float = 0.0
-    total: float = 0.0
 
 
 def init_model(cfg: ModelConfig, rng: np.random.Generator) -> ParamSet:
@@ -137,36 +129,28 @@ def model_forward(params: ParamSet, cfg: ModelConfig, obs: np.ndarray) -> ModelO
 
 
 def backward_batch(params: ParamSet, cfg: ModelConfig, cache, actions,
-                   advantages, returns, tp_targets, weights: LossWeights,
-                   use_tp: bool = True):
+                   advantages, returns, tp_targets, weights: LossWeights):
     """Gradients of the combined rollout loss w.r.t. every parameter.
 
-    Per-step terms, each averaged over the rollout of length T:
-      policy:  -log pi(a_t) * A_t   (advantage treated as a constant)
-      value:   (R_t - V_t)^2
-      entropy: H(pi_t), entering the loss with a negative weight
-      tp:      (y_t - y_t^p)^2
-    When use_tp is false or lambda_tp == 0, the terminal-prediction head
-    contributes nothing (not even zero-valued arrays are added), so the
-    result is bitwise identical to a plain actor-critic backward.
+    The loss parts, and whether the terminal-prediction term is on, come
+    from `losses.loss_parts`; this function only adds the gradient
+    arithmetic. With the term off (tp_targets None or lambda_tp == 0) the
+    terminal-prediction head contributes nothing (not even zero-valued
+    arrays are added), so the result is bitwise identical to a plain
+    actor-critic backward.
     Returns (grads: ParamSet, parts: LossParts).
     """
-    probs = cache["probs"]
+    probs, v = cache["probs"], cache["values"]
     T, A = probs.shape
+    logp = _log_softmax(cache["logits"])
+    parts = loss_parts(logp, probs, v, cache["tp_pred"], actions, advantages,
+                       returns, tp_targets, weights)
     actions = np.asarray(actions, dtype=np.intp)
-    if np.any(actions < 0) or np.any(actions >= A):
-        raise IndexError("action index out of range")
     adv = np.asarray(advantages, dtype=np.float64)
     ret = np.asarray(returns, dtype=np.float64)
-    v = cache["values"]
-    logp = _log_softmax(cache["logits"])
     onehot = np.zeros((T, A))
     onehot[np.arange(T), actions] = 1.0
-
     ent = -np.sum(probs * logp, axis=1)
-    policy_loss = float(np.mean(-logp[np.arange(T), actions] * adv))
-    value_loss = float(np.mean((ret - v) ** 2))
-    ent_mean = float(np.mean(ent))
 
     # Policy-head logit gradient: policy term + entropy term.
     d_logits = weights.lambda_pi * adv[:, None] * (probs - onehot) / T
@@ -180,19 +164,13 @@ def backward_batch(params: ParamSet, cfg: ModelConfig, cache, actions,
     # The heads are linear, so their pre-activation gradient is the incoming one.
     d_h = (dense_backward(h, d_logits, t["policy.W"], g["policy.W"], g["policy.b"])
            + dense_backward(h, d_v[:, None], t["value.W"], g["value.W"], g["value.b"]))
-
-    parts = LossParts(policy_loss=policy_loss, value_loss=value_loss, entropy=ent_mean)
-    tp_enabled = use_tp and weights.lambda_tp != 0.0 and tp_targets is not None
-    if tp_enabled:
+    if parts.tp_on:
+        # d/du of (y - sigmoid(u))^2, averaged over the rollout. Without the
+        # term the head's parameters keep their zero gradients.
         y = np.asarray(tp_targets, dtype=np.float64)
         p = cache["tp_pred"]
-        parts.tp_loss = float(np.mean((y - p) ** 2))
-        # d/du of (y - sigmoid(u))^2, averaged over the rollout.
         d_u = weights.lambda_tp * (-2.0 / T) * (y - p) * p * (1.0 - p)
         d_h = d_h + dense_backward(h, d_u[:, None], t["tp.W"], g["tp.W"], g["tp.b"])
-    else:
-        # Head params exist but get zero gradient arrays (from zeros_like).
-        parts.tp_loss = 0.0
 
     pre, post = cache["pre"], cache["post"]
     for i in range(len(pre) - 1, -1, -1):
@@ -201,38 +179,21 @@ def backward_batch(params: ParamSet, cfg: ModelConfig, cache, actions,
         # The gradient w.r.t. the observations is never used, so the input
         # layer skips it.
         d_h = dense_backward(post[i], dz, t[wkey], g[wkey], g[bkey], need_input=i > 0)
-    parts.total = (weights.lambda_v * value_loss
-                   + weights.lambda_pi * policy_loss
-                   - weights.lambda_h * ent_mean)
-    if tp_enabled:
-        parts.total += weights.lambda_tp * parts.tp_loss
     return grads, parts
 
 
 def model_backward(params: ParamSet, cfg: ModelConfig, obs, actions,
-                   advantages, returns, tp_targets, weights: LossWeights,
-                   use_tp: bool = True):
+                   advantages, returns, tp_targets, weights: LossWeights):
     """Forward + backward over a batch of observations in one call."""
     _, _, _, cache = forward_batch(params, cfg, obs)
     return backward_batch(params, cfg, cache, actions, advantages, returns,
-                          tp_targets, weights, use_tp=use_tp)
+                          tp_targets, weights)
 
 
 def rollout_loss(params: ParamSet, cfg: ModelConfig, obs, actions, advantages,
-                 returns, tp_targets, weights: LossWeights, use_tp: bool = True) -> float:
-    """Scalar combined loss, used by finite-difference gradient checks."""
+                 returns, tp_targets, weights: LossWeights) -> float:
+    """Scalar combined loss from a forward pass alone, used by
+    finite-difference gradient checks of `backward_batch`."""
     probs, v, tp, cache = forward_batch(params, cfg, obs)
-    T = probs.shape[0]
-    actions = np.asarray(actions, dtype=np.intp)
-    logp = _log_softmax(cache["logits"])
-    adv = np.asarray(advantages, dtype=np.float64)
-    ret = np.asarray(returns, dtype=np.float64)
-    policy_loss = float(np.mean(-logp[np.arange(T), actions] * adv))
-    value_loss = float(np.mean((ret - v) ** 2))
-    ent_mean = float(np.mean(-np.sum(probs * logp, axis=1)))
-    total = (weights.lambda_v * value_loss + weights.lambda_pi * policy_loss
-             - weights.lambda_h * ent_mean)
-    if use_tp and weights.lambda_tp != 0.0 and tp_targets is not None:
-        y = np.asarray(tp_targets, dtype=np.float64)
-        total += weights.lambda_tp * float(np.mean((y - tp) ** 2))
-    return float(total)
+    return loss_parts(_log_softmax(cache["logits"]), probs, v, tp, actions,
+                      advantages, returns, tp_targets, weights).total

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -60,8 +61,10 @@ class ParamSet:
     reshaped view of its slice, in insertion order, which is also the
     manifest order of the checkpoint format. Whole-set operations (Adam,
     clipping, copies, serialization) therefore run over `flat` directly.
-    Write through `params[name] = value`: it copies into the existing view,
-    and only a new name repacks the buffer (and detaches earlier views).
+    `tensors` is a read-only mapping, so a name cannot be rebound to an array
+    outside `flat`. Write through `params[name] = value`: it copies into the
+    existing view, and only a new name repacks the buffer (and detaches
+    earlier views).
     """
 
     def __init__(self, tensors: dict[str, np.ndarray] | None = None, version: int = 0):
@@ -73,9 +76,9 @@ class ParamSet:
     def _bind(self, flat: np.ndarray, layout: tuple) -> None:
         self.flat = flat
         self.layout = layout
-        self.tensors: dict[str, np.ndarray] = {
+        self.tensors: MappingProxyType[str, np.ndarray] = MappingProxyType({
             name: flat[start:stop].reshape(shape) for name, shape, start, stop in layout
-        }
+        })
 
     @classmethod
     def _over(cls, flat: np.ndarray, layout: tuple, version: int) -> "ParamSet":

@@ -9,11 +9,15 @@ parameters.
 
 Only three things run under the lock: the Adam step over the flat
 parameter buffer, the version bump, and an `np.copyto` of the new global
-buffer into the worker's own local buffer. Clipping, when asked for, runs
-before the lock is taken, and nothing is allocated inside it.
+buffer into the worker's own local buffer. Clipping runs once per update,
+in compute_update, before the lock is taken, and nothing is allocated
+inside it.
 
 Episode-length statistics feed one global TPLabeler so terminal-prediction
-targets are computable at rollout time, before the episode finishes.
+targets are computable at rollout time, before the episode finishes. The
+trainer computes the loss parts nowhere itself: `losses.loss_parts` does,
+and it alone switches the terminal-prediction term. A config that asks
+for plain A3C is turned into `lambda_tp = 0` once, when `train` starts.
 Completed-episode metrics flow to the caller through an ordered queue.
 """
 
@@ -23,15 +27,13 @@ import os
 import queue
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .envs.base import Environment
-from .losses import LossWeights, TPLabeler, advantages, n_step_returns, tp_targets
-from .model import (
-    LossParts, ModelConfig, backward_batch, forward_batch, init_model, sample_action,
-)
+from .losses import LossParts, LossWeights, TPLabeler, advantages, n_step_returns, tp_targets
+from .model import ModelConfig, backward_batch, forward_batch, init_model, sample_action
 from .nn import AdamState, ParamSet, adam_step, clip_global_norm
 
 DEFAULT_CLIP_NORM = 40.0
@@ -111,15 +113,11 @@ class GlobalStore:
         with self._lock:
             return self.params.copy()
 
-    def apply_and_sync(self, grads: ParamSet, clip_norm: float = DEFAULT_CLIP_NORM,
-                       local: ParamSet | None = None) -> ParamSet:
-        """One Adam step on the global params with grads clipped to
-        clip_norm (no clipping, and no norm, when clip_norm <= 0). The new
-        global params and version are copied into `local`, a ParamSet of
-        the same layout, which is returned; without one a new set is
-        allocated, outside the lock."""
-        if clip_norm > 0.0:
-            clip_global_norm(grads, clip_norm)
+    def apply_and_sync(self, grads: ParamSet, local: ParamSet | None = None) -> ParamSet:
+        """One Adam step on the global params with grads as given (clipping
+        belongs to compute_update). The new global params and version are
+        copied into `local`, a ParamSet of the same layout, which is
+        returned; without one a new set is allocated, outside the lock."""
         if local is None:
             local = self.params.zeros_like()
         with self._lock:
@@ -184,25 +182,21 @@ def collect_rollout(params: ParamSet, cfg: ModelConfig, env: Environment,
 
 def compute_update(rollout: Rollout, params: ParamSet, cfg: ModelConfig,
                    weights: LossWeights, horizon: float | None,
-                   use_tp: bool = True, clip_norm: float = DEFAULT_CLIP_NORM):
+                   clip_norm: float = DEFAULT_CLIP_NORM):
     """Gradients of the combined loss over one rollout, norm-clipped.
 
-    When no episode has completed yet (horizon is None) the
-    terminal-prediction term is silently disabled for this update.
-    Returns (grads, LossParts).
+    When no episode has completed yet (horizon is None) there are no
+    terminal-prediction targets, so the term is off for this update, as it
+    is whenever lambda_tp == 0. A non-finite loss part raises
+    FloatingPointError. Returns (grads, LossParts).
     """
     ret = n_step_returns(rollout.rewards, rollout.bootstrap_value,
                          weights.gamma, rollout.terminal)
     adv = advantages(ret, rollout.values)
-    targets = None
-    tp_on = use_tp and weights.lambda_tp != 0.0 and horizon is not None
-    if tp_on:
-        targets = tp_targets(rollout.step_indices, horizon)
+    targets = None if horizon is None else tp_targets(rollout.step_indices, horizon)
     _, _, _, cache = forward_batch(params, cfg, rollout.obs)
     grads, parts = backward_batch(params, cfg, cache, rollout.actions, adv,
-                                  ret, targets, weights, use_tp=tp_on)
-    if not np.isfinite(parts.total):
-        raise FloatingPointError("non-finite training loss")
+                                  ret, targets, weights)
     clip_global_norm(grads, clip_norm)
     return grads, parts
 
@@ -217,6 +211,8 @@ def train(cfg: TrainConfig, env_factory, metrics_queue: queue.Queue | None = Non
     completion order; None is pushed once when training ends.
     Returns the GlobalStore with final parameters.
     """
+    if not cfg.use_tp:  # plain A3C is the objective with lambda_tp == 0
+        cfg = replace(cfg, weights=replace(cfg.weights, lambda_tp=0.0))
     if cfg.checkpoint_dir is not None:
         os.makedirs(cfg.checkpoint_dir, exist_ok=True)
     seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.n_workers + 1)
@@ -269,9 +265,8 @@ def _worker_loop(wid: int, cfg: TrainConfig, env: Environment,
         episode_step += len(rollout.actions)
         episode_reward += float(rollout.rewards.sum())
         grads, parts = compute_update(rollout, local, cfg.model, cfg.weights,
-                                      store.labeler.horizon, use_tp=cfg.use_tp,
-                                      clip_norm=cfg.clip_norm)
-        store.apply_and_sync(grads, clip_norm=-1.0, local=local)  # already clipped
+                                      store.labeler.horizon, clip_norm=cfg.clip_norm)
+        store.apply_and_sync(grads, local=local)
         acc.policy_loss += parts.policy_loss
         acc.value_loss += parts.value_loss
         acc.tp_loss += parts.tp_loss

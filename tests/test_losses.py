@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from a3ctp.losses import (
-    LossWeights, TPLabeler, advantages, combined_loss, entropy, n_step_returns,
-    tp_loss, tp_targets,
+    LossWeights, TPLabeler, advantages, combined_loss, entropy, loss_parts,
+    n_step_returns, tp_loss, tp_targets,
 )
 
 
@@ -153,6 +153,54 @@ class TestCombinedLoss:
     def test_non_finite_rejected(self):
         with pytest.raises(FloatingPointError):
             combined_loss(np.nan, 0, 0, 0, LossWeights())
+
+
+def _rollout_outputs(T=9, A=4, seed=0):
+    rng = np.random.default_rng(seed)
+    logits = rng.normal(size=(T, A))
+    z = logits - logits.max(axis=1, keepdims=True)
+    logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+    return (logp, np.exp(logp), rng.normal(size=T), rng.random(T),
+            rng.integers(0, A, size=T), rng.normal(size=T), rng.normal(size=T),
+            rng.random(T))
+
+
+class TestLossParts:
+    def test_parts_are_the_component_losses(self):
+        logp, probs, v, tp, actions, adv, ret, y = _rollout_outputs()
+        w = LossWeights()
+        parts = loss_parts(logp, probs, v, tp, actions, adv, ret, y, w)
+        T = len(actions)
+        assert parts.tp_on
+        assert np.isclose(parts.policy_loss, np.mean(-logp[np.arange(T), actions] * adv))
+        assert np.isclose(parts.value_loss, np.mean((ret - v) ** 2))
+        assert np.isclose(parts.entropy, np.mean([entropy(p) for p in probs]))
+        assert parts.tp_loss == tp_loss(y, tp)
+        assert parts.total == combined_loss(parts.policy_loss, parts.value_loss,
+                                            parts.entropy, parts.tp_loss, w)
+
+    @pytest.mark.parametrize("with_targets,lambda_tp", [(False, 0.5), (True, 0.0), (False, 0.0)])
+    def test_tp_term_off_without_targets_or_weight(self, with_targets, lambda_tp):
+        logp, probs, v, tp, actions, adv, ret, y = _rollout_outputs(seed=1)
+        w = LossWeights(lambda_tp=lambda_tp)
+        off = loss_parts(logp, probs, v, tp, actions, adv, ret,
+                         y if with_targets else None, w)
+        base = combined_loss(off.policy_loss, off.value_loss, off.entropy, 0.0,
+                             LossWeights(lambda_tp=0.0))
+        assert not off.tp_on and off.tp_loss == 0.0 and off.total == base
+
+    def test_rejects_actions_out_of_range(self):
+        logp, probs, v, tp, actions, adv, ret, y = _rollout_outputs(seed=2)
+        for bad in (-1, probs.shape[1]):
+            actions[0] = bad
+            with pytest.raises(IndexError):
+                loss_parts(logp, probs, v, tp, actions, adv, ret, y, LossWeights())
+
+    def test_non_finite_part_raises(self):
+        logp, probs, v, tp, actions, adv, ret, y = _rollout_outputs(seed=3)
+        v[0] = np.inf
+        with pytest.raises(FloatingPointError):
+            loss_parts(logp, probs, v, tp, actions, adv, ret, y, LossWeights())
 
 
 class TestLossWeights:

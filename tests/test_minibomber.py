@@ -3,6 +3,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from a3ctp.envs.minibomber.board import (
     BOMB, DOWN, LEFT, PASSAGE, RIGHT, RIGID, STAY, UP, WOOD,
@@ -234,6 +236,32 @@ class TestSerialization:
         text = board_to_text(b)
         restored = board_from_text(text)
         assert board_to_text(restored) == text
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_outcome_survives_text_roundtrip(self, seed):
+        rng = np.random.default_rng(seed)
+        b = generate_board(rng)
+        while not b.done:
+            b.step((int(rng.integers(0, 6)), int(rng.integers(0, 6))))
+        restored = board_from_text(board_to_text(b))
+        assert restored.killers == b.killers
+        assert classify_outcome(restored) == classify_outcome(b)
+
+    def test_v1_text_still_reads_without_killers(self):
+        b = generate_board(np.random.default_rng(4))
+        b.step((BOMB, STAY))
+        b.killers = [None, None]
+        v2 = board_to_text(b)
+        head, rest = v2.split("\n", 1)
+        assert head.startswith("minibomber v2 ") and head.endswith(" killers=-,-")
+        v1 = head.replace("minibomber v2", "minibomber v1").rsplit(" killers=", 1)[0]
+        assert board_to_text(board_from_text(v1 + "\n" + rest)) == v2
+
+    def test_unknown_text_version_rejected(self):
+        text = board_to_text(generate_board(np.random.default_rng(5)))
+        with pytest.raises(ValueError):
+            board_from_text(text.replace("minibomber v2", "minibomber v3", 1))
 
     def test_replay_bit_exact(self, tmp_path):
         env = MiniBomber(8, opponent="rulebased", record_actions=True)

@@ -154,9 +154,9 @@ class TestTPInteraction:
         actions = rng.integers(0, 4, size=5)
         adv, ret, y = rng.normal(size=5), rng.normal(size=5), rng.random(5)
         g_zero, _ = model_backward(params, cfg, obs, actions, adv, ret, y,
-                                   LossWeights(lambda_tp=0.0), use_tp=True)
+                                   LossWeights(lambda_tp=0.0))
         g_off, _ = model_backward(params, cfg, obs, actions, adv, ret, None,
-                                  LossWeights(), use_tp=False)
+                                  LossWeights())
         for k in g_zero:
             assert np.array_equal(g_zero[k], g_off[k]), k
 
@@ -239,11 +239,27 @@ class TestLeanPasses:
         adv, ret, y = rng.normal(size=T), rng.normal(size=T), rng.random(T)
         w = LossWeights()
         _, _, _, cache = forward_batch(params, cfg, obs)
-        got, _ = backward_batch(params, cfg, cache, actions, adv, ret, y, w, use_tp=use_tp)
+        got, _ = backward_batch(params, cfg, cache, actions, adv, ret,
+                                y if use_tp else None, w)
         want = layered_backward(params, cfg, obs, actions, adv, ret, y, w, use_tp)
         assert got.names() == want.names()
         for k in got:
             assert np.array_equal(got[k], want[k]), k
+
+    @pytest.mark.parametrize("case", ["tp-on", "no-targets", "lambda-tp-zero"])
+    def test_rollout_loss_equals_backward_total(self, case):
+        cfg = small_cfg(obs_dim=9, n_actions=5, hidden=(16, 12))
+        params = init_model(cfg, np.random.default_rng(35))
+        rng = np.random.default_rng(36)
+        obs = rng.normal(size=(11, 9))
+        actions = rng.integers(0, 5, size=11)
+        adv, ret, y = rng.normal(size=11), rng.normal(size=11), rng.random(11)
+        w = LossWeights(lambda_tp=0.0) if case == "lambda-tp-zero" else LossWeights()
+        y = None if case == "no-targets" else y
+        _, _, _, cache = forward_batch(params, cfg, obs)
+        _, parts = backward_batch(params, cfg, cache, actions, adv, ret, y, w)
+        assert parts.tp_on == (case == "tp-on")
+        assert rollout_loss(params, cfg, obs, actions, adv, ret, y, w) == parts.total
 
     def test_forward_checks_width_and_finiteness(self):
         cfg = small_cfg()

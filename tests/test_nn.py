@@ -211,7 +211,7 @@ class TestGradientCheck:
         def bad_grad_fn(p):
             _, cache = forward_mlp(p, x, layers)
             _, g = backward_mlp(cache, np.ones(3))
-            g.tensors["l2.b"] = -g["l2.b"]  # one sign flip
+            g["l2.b"] = -g["l2.b"]  # one sign flip
             return g
 
         report = gradient_check(params, loss_fn, bad_grad_fn, tolerance=1e-4)
@@ -329,6 +329,13 @@ class TestFlatBuffer:
         assert np.array_equal(params.flat, before)
         params.flat[:] = -1.0
         assert not np.any(dup["l1.W"] == -1.0) and np.all(zeros.flat == 1.0)
+
+    def test_tensors_mapping_is_read_only(self):
+        _, params = three_layer_net(np.random.default_rng(2))
+        view = params["l2.b"]
+        with pytest.raises(TypeError):
+            params.tensors["l2.b"] = -view
+        assert params["l2.b"] is view and np.shares_memory(view, params.flat)
 
     def test_setitem_existing_name_writes_in_place(self):
         params = ParamSet({"a.W": np.zeros((2, 3)), "a.b": np.zeros(3)})

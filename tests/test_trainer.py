@@ -80,8 +80,8 @@ class TestComputeUpdate:
         r = make_rollout()
         w = LossWeights()
         g_none, parts_none = compute_update(r, params, cfg, w, horizon=None)
-        g_off, parts_off = compute_update(r, params, cfg, w, horizon=10.0,
-                                          use_tp=False)
+        g_off, parts_off = compute_update(r, params, cfg, LossWeights(lambda_tp=0.0),
+                                          horizon=10.0)
         assert all(np.array_equal(g_none[k], g_off[k]) for k in g_none.names())
         assert parts_none.tp_loss == 0.0 == parts_off.tp_loss
 
@@ -127,7 +127,7 @@ class TestGlobalStore:
         flat = local.flat
         g = store.params.zeros_like()
         g["policy.b"] = np.ones_like(g["policy.b"])
-        assert store.apply_and_sync(g, clip_norm=-1.0, local=local) is local
+        assert store.apply_and_sync(g, local=local) is local
         assert local.flat is flat and local.version == store.version == 1
         assert local.equal_bits(store.params)
         assert not np.shares_memory(local.flat, store.params.flat)
@@ -224,7 +224,7 @@ class TestTrain:
 
 class TestLock:
     def test_norm_runs_once_per_update(self, monkeypatch):
-        # The worker clips in compute_update and applies with clip_norm=-1,
+        # The worker clips in compute_update and apply_and_sync never clips,
         # so the global norm must not be computed a second time under the lock.
         calls = []
         real = trainer.clip_global_norm
@@ -250,7 +250,7 @@ class TestLock:
         serial = GlobalStore(params.copy(), AdamState.for_params(params))
         local = serial.snapshot()
         for _ in range(n_threads * k):
-            serial.apply_and_sync(grads.copy(), clip_norm=-1.0, local=local)
+            serial.apply_and_sync(grads.copy(), local=local)
 
         store = GlobalStore(params.copy(), AdamState.for_params(params))
         errors = []
@@ -261,7 +261,7 @@ class TestLock:
                 mine, g = store.snapshot(), grads.copy()
                 start.wait(timeout=30)
                 for _ in range(k):
-                    store.apply_and_sync(g, clip_norm=-1.0, local=mine)
+                    store.apply_and_sync(g, local=mine)
                     assert mine.version <= store.version
             except BaseException as exc:
                 errors.append(exc)
