@@ -1,6 +1,6 @@
 """Experiment orchestration: run configuration, metrics persistence,
-multi-seed comparisons, loss-weight sweeps, moving averages, summaries,
-and checkpoint evaluation.
+multi-seed comparisons, loss-weight sweeps, summaries, and checkpoint
+evaluation.
 
 A run directory is self-describing:
     config.txt      every config key (defaults echoed), key=value text
@@ -196,21 +196,6 @@ def sweep_lambda_tp(base: RunConfig, values, seeds) -> list[str]:
     return run_dirs
 
 
-def moving_average(series, window: int) -> np.ndarray:
-    """Trailing mean over the last min(window, available) points."""
-    if window < 1:
-        raise ValueError("window must be >= 1")
-    s = np.asarray(series, dtype=np.float64)
-    if s.size == 0:
-        raise ValueError("empty series")
-    out = np.empty_like(s)
-    csum = np.concatenate([[0.0], np.cumsum(s)])
-    for i in range(s.size):
-        lo = max(0, i + 1 - window)
-        out[i] = (csum[i + 1] - csum[lo]) / (i + 1 - lo)
-    return out
-
-
 def read_metrics(run_dir: str) -> dict[str, np.ndarray]:
     with open(os.path.join(run_dir, "metrics.csv"), newline="") as f:
         rows = list(csv.DictReader(f))
@@ -310,7 +295,9 @@ def evaluate(checkpoint_path: str, env_name: str, episodes: int, seed: int,
              env_kwargs: dict | None = None, sample: bool = True,
              replay_dir: str | None = None) -> EvalReport:
     """Roll out a trained checkpoint; outcome attribution for bomberman,
-    plain reward statistics otherwise."""
+    plain reward statistics otherwise. Raises ValueError unless the
+    checkpoint's tensor names and shapes are exactly those of the network
+    for this environment (its hidden widths read from the checkpoint)."""
     env_kwargs = dict(env_kwargs or {})
     is_bomber = env_name.startswith("minibomber")
     if is_bomber and replay_dir is not None:
@@ -320,8 +307,11 @@ def evaluate(checkpoint_path: str, env_name: str, episodes: int, seed: int,
     params = ParamSet.load(checkpoint_path)
     hidden = _infer_hidden(params)
     cfg = ModelConfig(spec.obs_dim, spec.n_actions, hidden)
-    if params["trunk0.W"].shape[0] != spec.obs_dim:
-        raise ValueError("checkpoint does not match environment observation size")
+    expected = [(f"{name}.{k}", shape) for name, fan_in, fan_out in cfg.layers
+                for k, shape in (("W", (fan_in, fan_out)), ("b", (fan_out,)))]
+    if [(name, shape) for name, shape, _, _ in params.layout] != expected:
+        raise ValueError(f"checkpoint {checkpoint_path} does not match the {env_name} network "
+                         f"(obs {spec.obs_dim}, {spec.n_actions} actions, hidden {hidden})")
     rng = np.random.default_rng(seed)
     rewards, lengths = [], []
     counts: dict[str, int] = {}
@@ -356,9 +346,11 @@ def evaluate(checkpoint_path: str, env_name: str, episodes: int, seed: int,
 
 
 def _infer_hidden(params: ParamSet) -> tuple[int, ...]:
+    """Trunk widths from the last dim of each trunk<i>.W. A weight that is
+    not 2-d still yields widths, which evaluate's manifest check rejects."""
     hidden = []
     i = 0
     while f"trunk{i}.W" in params:
-        hidden.append(params[f"trunk{i}.W"].shape[1])
+        hidden.extend(params[f"trunk{i}.W"].shape[-1:])
         i += 1
     return tuple(hidden)

@@ -1,16 +1,19 @@
-"""Three-headed actor-critic network: a shared feedforward trunk feeding a
-softmax policy head, a linear value head, and a sigmoid terminal-prediction
-head.
+"""Three-headed actor-critic network: a shared tanh trunk feeding a softmax
+policy head, a linear value head, and a sigmoid terminal-prediction head.
 
-Forward and backward passes are hand-written on top of the nn core. The
-objective itself (policy gradient with a constant advantage, squared value
-error, entropy bonus, terminal-prediction MSE) and the switch for its
-terminal-prediction term live in `losses.loss_parts`; the backward pass
-takes the parts from there and adds only their gradients, in one sweep.
+The network is defined here and nowhere else. `ModelConfig.layers` lists
+every dense layer in checkpoint manifest order, and `init_model`, the trunk
+loop and `harness.evaluate`'s checkpoint check all read it. Forward and
+backward passes are hand-written on top of the nn core. The objective itself
+(policy gradient with a constant advantage, squared value error, entropy
+bonus, terminal-prediction MSE) and the switch for its terminal-prediction
+term live in `losses.loss_parts`; the backward pass takes the parts from
+there and adds only their gradients, in one sweep.
 
 The forward pass reads the trunk's parameter names from its `ModelConfig`,
-computed once per config, and keeps only the arrays the backward pass
-needs: no per-layer records or per-head caches are built per call.
+computed once per config, and caches only the arrays the backward pass
+needs: the trunk's outputs (tanh's derivative is taken from them) and the
+head outputs.
 """
 
 from __future__ import annotations
@@ -21,42 +24,28 @@ from functools import cached_property
 import numpy as np
 
 from .losses import LossWeights, loss_parts
-from .nn import (
-    LayerDef, NonFiniteError, ParamSet, ShapeError, _activate, _activate_grad, dense_backward,
-    init_layers,
-)
+from .nn import NonFiniteError, ParamSet, ShapeError, dense_backward
+
 
 @dataclass(frozen=True)
 class ModelConfig:
     obs_dim: int
     n_actions: int
     hidden: tuple[int, ...] = (128, 128)
-    activation: str = "tanh"
 
-    def trunk_layers(self) -> list[LayerDef]:
-        layers = []
-        fan_in = self.obs_dim
-        for i, width in enumerate(self.hidden):
-            layers.append(LayerDef(f"trunk{i}", fan_in, width, self.activation))
-            fan_in = width
-        return layers
-
-    @property
-    def trunk_out(self) -> int:
-        return self.hidden[-1] if self.hidden else self.obs_dim
-
-    def head_layers(self) -> dict[str, LayerDef]:
-        d = self.trunk_out
-        return {
-            "policy": LayerDef("policy", d, self.n_actions, "linear"),
-            "value": LayerDef("value", d, 1, "linear"),
-            "tp": LayerDef("tp", d, 1, "linear"),  # sigmoid applied in-head
-        }
+    @cached_property
+    def layers(self) -> tuple[tuple[str, int, int], ...]:
+        """(name, fan_in, fan_out) of every dense layer in manifest order:
+        trunk0..trunkN, then the policy, value and tp heads."""
+        widths = (self.obs_dim, *self.hidden)
+        trunk = tuple((f"trunk{i}", widths[i], widths[i + 1]) for i in range(len(self.hidden)))
+        d = widths[-1]
+        return trunk + (("policy", d, self.n_actions), ("value", d, 1), ("tp", d, 1))
 
     @cached_property
     def trunk_keys(self) -> tuple[tuple[str, str], ...]:
         """(weight, bias) parameter names of the trunk layers, input first."""
-        return tuple((f"trunk{i}.W", f"trunk{i}.b") for i in range(len(self.hidden)))
+        return tuple((f"{name}.W", f"{name}.b") for name, _, _ in self.layers[:len(self.hidden)])
 
 
 @dataclass
@@ -67,9 +56,14 @@ class ModelOutput:
 
 
 def init_model(cfg: ModelConfig, rng: np.random.Generator) -> ParamSet:
-    """Seeded init of trunk plus all three heads, in a fixed layer order."""
-    layers = cfg.trunk_layers() + [cfg.head_layers()[k] for k in ("policy", "value", "tp")]
-    return init_layers(layers, rng)
+    """Seeded init, layer by layer in `cfg.layers` order: weights uniform in
+    +-1/sqrt(fan_in), biases zero."""
+    tensors = {}
+    for name, fan_in, fan_out in cfg.layers:
+        bound = 1.0 / np.sqrt(fan_in)
+        tensors[f"{name}.W"] = rng.uniform(-bound, bound, size=(fan_in, fan_out))
+        tensors[f"{name}.b"] = np.zeros(fan_out)
+    return ParamSet(tensors)
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -95,13 +89,10 @@ def forward_batch(params: ParamSet, cfg: ModelConfig, obs: np.ndarray):
     if obs.shape[1] != cfg.obs_dim:
         raise ShapeError(f"input width {obs.shape[1]} does not match fan-in {cfg.obs_dim}")
     t = params.tensors
-    h = obs
-    pre, post = [], [obs]
+    post = [obs]
     for wkey, bkey in cfg.trunk_keys:
-        z = h @ t[wkey] + t[bkey]
-        h = _activate(z, cfg.activation)
-        pre.append(z)
-        post.append(h)
+        post.append(np.tanh(post[-1] @ t[wkey] + t[bkey]))
+    h = post[-1]
     logits = h @ t["policy.W"] + t["policy.b"]
     v = h @ t["value.W"] + t["value.b"]
     u = h @ t["tp.W"] + t["tp.b"]
@@ -109,7 +100,7 @@ def forward_batch(params: ParamSet, cfg: ModelConfig, obs: np.ndarray):
         raise NonFiniteError("non-finite activations in forward pass")
     probs = _softmax(logits)
     tp = 1.0 / (1.0 + np.exp(-u[:, 0]))
-    cache = {"pre": pre, "post": post, "probs": probs, "logits": logits,
+    cache = {"post": post, "probs": probs, "logits": logits,
              "values": v[:, 0], "tp_pred": tp}
     return probs, v[:, 0], tp, cache
 
@@ -172,10 +163,11 @@ def backward_batch(params: ParamSet, cfg: ModelConfig, cache, actions,
         d_u = weights.lambda_tp * (-2.0 / T) * (y - p) * p * (1.0 - p)
         d_h = d_h + dense_backward(h, d_u[:, None], t["tp.W"], g["tp.W"], g["tp.b"])
 
-    pre, post = cache["pre"], cache["post"]
-    for i in range(len(pre) - 1, -1, -1):
+    post = cache["post"]
+    for i in range(len(cfg.trunk_keys) - 1, -1, -1):
         wkey, bkey = cfg.trunk_keys[i]
-        dz = d_h * _activate_grad(post[i + 1], pre[i], cfg.activation)
+        a = post[i + 1]
+        dz = d_h * (1.0 - a * a)  # tanh'(z) from the layer's output
         # The gradient w.r.t. the observations is never used, so the input
         # layer skips it.
         d_h = dense_backward(post[i], dz, t[wkey], g[wkey], g[bkey], need_input=i > 0)

@@ -1,11 +1,12 @@
-"""Minimal feedforward network core: parameter storage, forward/backward
-passes for fully-connected stacks, Adam, gradient checking, and a binary
-checkpoint format.
+"""Network core: parameter storage, a binary checkpoint format, the
+backward step of one dense layer, Adam, gradient clipping, and gradient
+checking.
 
-Everything is float64 numpy. Layers are described by `LayerDef` records and
-parameters live in an ordered `ParamSet` keyed by "<layer>.W" and
-"<layer>.b". There is no graph autodiff: each layer stack has a hand-written
-backward pass, validated against central finite differences.
+Everything is float64 numpy. Parameters live in an ordered `ParamSet`
+keyed by "<layer>.W" and "<layer>.b"; which layers exist, and how they are
+run forward, is the model's business (`model.ModelConfig.layers`). There is
+no graph autodiff: the model's backward pass is hand-written on top of
+`dense_backward` and validated against central finite differences.
 
 Flat layout: a `ParamSet` stores all its tensors back to back in one
 contiguous float64 vector (`flat`), in insertion order, and each named
@@ -28,8 +29,6 @@ import numpy as np
 CHECKPOINT_MAGIC = "A3CTP-TENSORS"
 CHECKPOINT_VERSION = 1
 
-ACTIVATIONS = ("linear", "tanh", "relu", "sigmoid")
-
 
 class ShapeError(ValueError):
     """Raised when tensor shapes do not line up."""
@@ -37,20 +36,6 @@ class ShapeError(ValueError):
 
 class NonFiniteError(FloatingPointError):
     """Raised when an operation produces NaN or Inf."""
-
-
-@dataclass
-class LayerDef:
-    """One fully-connected layer: y = act(x @ W + b)."""
-
-    name: str
-    fan_in: int
-    fan_out: int
-    activation: str = "linear"
-
-    def __post_init__(self):
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
 
 
 class ParamSet:
@@ -63,8 +48,8 @@ class ParamSet:
     clipping, copies, serialization) therefore run over `flat` directly.
     `tensors` is a read-only mapping, so a name cannot be rebound to an array
     outside `flat`. Write through `params[name] = value`: it copies into the
-    existing view, and only a new name repacks the buffer (and detaches
-    earlier views).
+    existing view. The layout is fixed when the set is built (by the
+    constructor, `zeros_like` or `copy`), so an unknown name raises KeyError.
     """
 
     def __init__(self, tensors: dict[str, np.ndarray] | None = None, version: int = 0):
@@ -91,15 +76,11 @@ class ParamSet:
         return self.tensors[name]
 
     def __setitem__(self, name: str, value: np.ndarray) -> None:
+        view = self.tensors[name]
         value = np.asarray(value, dtype=np.float64)
-        if name in self.tensors:
-            view = self.tensors[name]
-            if value.shape != view.shape:
-                raise ShapeError(f"{name} has shape {view.shape}, not {value.shape}")
-            np.copyto(view, value)
-            return
-        shapes = [(k, shape) for k, shape, _, _ in self.layout] + [(name, value.shape)]
-        self._bind(np.concatenate([self.flat, value.ravel()]), _layout(shapes))
+        if value.shape != view.shape:
+            raise ShapeError(f"{name} has shape {view.shape}, not {value.shape}")
+        np.copyto(view, value)
 
     def __contains__(self, name: str) -> bool:
         return name in self.tensors
@@ -115,11 +96,6 @@ class ParamSet:
 
     def zeros_like(self) -> "ParamSet":
         return ParamSet._over(np.zeros_like(self.flat), self.layout, 0)
-
-    def allclose(self, other: "ParamSet", atol: float = 0.0) -> bool:
-        if self.names() != other.names():
-            return False
-        return all(np.allclose(self[k], other[k], atol=atol) for k in self)
 
     def equal_bits(self, other: "ParamSet") -> bool:
         if self.names() != other.names():
@@ -228,101 +204,7 @@ def _tensors_from_bytes(blob: bytes) -> tuple[tuple, np.ndarray, dict[str, str]]
     return layout, flat, extra
 
 
-# -- initialization -------------------------------------------------------
-
-
-def init_layers(layers: list[LayerDef], rng: np.random.Generator) -> ParamSet:
-    """Uniform init in +-1/sqrt(fan_in) for weights, zero biases."""
-    tensors = {}
-    for layer in layers:
-        bound = 1.0 / np.sqrt(layer.fan_in)
-        tensors[f"{layer.name}.W"] = rng.uniform(-bound, bound, size=(layer.fan_in, layer.fan_out))
-        tensors[f"{layer.name}.b"] = np.zeros(layer.fan_out)
-    return ParamSet(tensors)
-
-
-# -- forward / backward ---------------------------------------------------
-
-
-def _activate(z: np.ndarray, activation: str) -> np.ndarray:
-    if activation == "linear":
-        return z
-    if activation == "tanh":
-        return np.tanh(z)
-    if activation == "relu":
-        return np.maximum(0.0, z)
-    if activation == "sigmoid":
-        return 1.0 / (1.0 + np.exp(-z))
-    raise ValueError(activation)
-
-
-def _activate_grad(a: np.ndarray, z: np.ndarray, activation: str) -> np.ndarray:
-    # Derivative w.r.t. z, expressed where possible via the output a.
-    if activation == "linear":
-        return np.ones_like(z)
-    if activation == "tanh":
-        return 1.0 - a * a
-    if activation == "relu":
-        return (z > 0.0).astype(np.float64)
-    if activation == "sigmoid":
-        return a * (1.0 - a)
-    raise ValueError(activation)
-
-
-def forward_mlp(params: ParamSet, x: np.ndarray, layers: list[LayerDef]):
-    """Run a stack of fully-connected layers.
-
-    x may be a single observation (1-d) or a batch (2-d, rows are samples).
-    Returns (output, cache); the cache carries every intermediate needed by
-    backward_mlp.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    h = x[None, :] if single else x
-    if h.shape[1] != layers[0].fan_in:
-        raise ShapeError(
-            f"input width {h.shape[1]} does not match fan-in {layers[0].fan_in}"
-        )
-    cache = {"input": h, "pre": [], "post": [h]}
-    for layer in layers:
-        z = h @ params[f"{layer.name}.W"] + params[f"{layer.name}.b"]
-        h = _activate(z, layer.activation)
-        cache["pre"].append(z)
-        cache["post"].append(h)
-    if not np.all(np.isfinite(h)):
-        raise NonFiniteError("non-finite activations in forward pass")
-    cache["layers"] = layers
-    cache["single"] = single
-    cache["weights"] = [params[f"{l.name}.W"] for l in layers]
-    return (h[0] if single else h), cache
-
-
-def backward_mlp(cache, d_out: np.ndarray, grads: ParamSet | None = None):
-    """Backward pass matching a forward_mlp cache.
-
-    d_out is dLoss/d(output). Returns (d_input, grads) where grads holds
-    dLoss/dparam for each layer parameter. If `grads` is given, parameter
-    gradients are accumulated into it.
-    """
-    layers = cache["layers"]
-    d = np.asarray(d_out, dtype=np.float64)
-    if cache["single"] and d.ndim == 1:
-        d = d[None, :]
-    if grads is None:
-        grads = ParamSet()
-    for i in range(len(layers) - 1, -1, -1):
-        layer = layers[i]
-        z = cache["pre"][i]
-        if d.shape != z.shape:
-            raise ShapeError("output-gradient shape does not match cache")
-        dz = d * _activate_grad(cache["post"][i + 1], z, layer.activation)
-        wkey, bkey = f"{layer.name}.W", f"{layer.name}.b"
-        if wkey not in grads:
-            grads[wkey] = np.zeros((layer.fan_in, layer.fan_out))
-            grads[bkey] = np.zeros(layer.fan_out)
-        d = dense_backward(cache["post"][i], dz, cache["weights"][i], grads[wkey], grads[bkey])
-    d_input = d[0] if cache["single"] else d
-    return d_input, grads
+# -- backward -------------------------------------------------------------
 
 
 def dense_backward(x: np.ndarray, dz: np.ndarray, W: np.ndarray, gW: np.ndarray,
@@ -360,10 +242,6 @@ class AdamState:
         return cls(m=params.zeros_like(), v=params.zeros_like(), step=0,
                    lr=lr, beta1=beta1, beta2=beta2, eps=eps)
 
-    def copy(self) -> "AdamState":
-        return AdamState(self.m.copy(), self.v.copy(), self.step,
-                         self.lr, self.beta1, self.beta2, self.eps)
-
     def to_bytes(self) -> bytes:
         layout = _layout([(f"m:{k}", shape) for k, shape, _, _ in self.m.layout]
                          + [(f"v:{k}", shape) for k, shape, _, _ in self.v.layout])
@@ -385,15 +263,6 @@ class AdamState:
         return cls(m=m, v=v, step=int(extra["step"]), lr=float(extra["lr"]),
                    beta1=float(extra["beta1"]), beta2=float(extra["beta2"]),
                    eps=float(extra["eps"]))
-
-    def save(self, path) -> None:
-        with open(path, "wb") as f:
-            f.write(self.to_bytes())
-
-    @classmethod
-    def load(cls, path) -> "AdamState":
-        with open(path, "rb") as f:
-            return cls.from_bytes(f.read())
 
 
 def adam_step(params: ParamSet, grads: ParamSet, state: AdamState) -> None:

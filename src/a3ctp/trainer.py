@@ -45,7 +45,6 @@ class Rollout:
     actions: np.ndarray       # (T,)
     rewards: np.ndarray       # (T,)
     values: np.ndarray        # (T,) critic estimates at collection time
-    tp_preds: np.ndarray      # (T,)
     step_indices: np.ndarray  # (T,) absolute step index within the episode
     terminal: bool
     bootstrap_value: float    # 0 when terminal
@@ -113,13 +112,11 @@ class GlobalStore:
         with self._lock:
             return self.params.copy()
 
-    def apply_and_sync(self, grads: ParamSet, local: ParamSet | None = None) -> ParamSet:
+    def apply_and_sync(self, grads: ParamSet, local: ParamSet) -> ParamSet:
         """One Adam step on the global params with grads as given (clipping
         belongs to compute_update). The new global params and version are
-        copied into `local`, a ParamSet of the same layout, which is
-        returned; without one a new set is allocated, outside the lock."""
-        if local is None:
-            local = self.params.zeros_like()
+        copied into `local`, the worker's ParamSet of the same layout, which
+        is returned."""
         with self._lock:
             adam_step(self.params, grads, self.optimizer)
             self.update_count += 1
@@ -150,17 +147,16 @@ def collect_rollout(params: ParamSet, cfg: ModelConfig, env: Environment,
     is the first observation of the next episode segment (or the terminal
     observation when done).
     """
-    obs_list, actions, rewards, values, tps, indices = [], [], [], [], [], []
+    obs_list, actions, rewards, values, indices = [], [], [], [], []
     done = False
     for _ in range(t_max):
-        probs, v, tp, _ = forward_batch(params, cfg, obs[None, :])
+        probs, v, _, _ = forward_batch(params, cfg, obs[None, :])
         action = sample_action(probs[0], rng)
         next_obs, reward, done, _info = env.step(action, rng)
         obs_list.append(obs)
         actions.append(action)
         rewards.append(reward)
         values.append(float(v[0]))
-        tps.append(float(tp[0]))
         indices.append(episode_step)
         episode_step += 1
         obs = next_obs
@@ -174,7 +170,7 @@ def collect_rollout(params: ParamSet, cfg: ModelConfig, env: Environment,
     rollout = Rollout(
         obs=np.array(obs_list), actions=np.array(actions),
         rewards=np.array(rewards), values=np.array(values),
-        tp_preds=np.array(tps), step_indices=np.array(indices),
+        step_indices=np.array(indices),
         terminal=done, bootstrap_value=bootstrap,
     )
     return rollout, obs, done

@@ -1,20 +1,26 @@
-"""Harness tests: run directories, metrics persistence, moving averages,
-sweeps, summaries, checkpoint evaluation, and the command line front end."""
+"""Harness tests: run directories, metrics persistence, the moving-average
+column, sweeps, summaries, checkpoint evaluation, and the command line front
+end."""
 
 import csv
 import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from a3ctp.cli import main as cli_main
 from a3ctp.harness import (
-    METRICS_COLUMNS, RunConfig, evaluate, moving_average, read_metrics,
-    run_experiment, summarize, summary_table, sweep_lambda_tp,
+    METRICS_COLUMNS, RunConfig, evaluate, read_metrics, run_experiment, summarize,
+    summary_table, sweep_lambda_tp,
 )
 from a3ctp.model import ModelConfig, init_model
+from a3ctp.nn import ParamSet
+
+
+def trailing_means(series, window):
+    """Per row i, the mean of the last min(window, i + 1) values."""
+    series = np.asarray(series, dtype=np.float64)
+    return [np.mean(series[max(0, i + 1 - window):i + 1]) for i in range(series.size)]
 
 
 def small_config(tmp_path, **kw):
@@ -23,34 +29,6 @@ def small_config(tmp_path, **kw):
                     out_dir=str(tmp_path / "run"))
     defaults.update(kw)
     return RunConfig(**defaults)
-
-
-class TestMovingAverage:
-    def test_matches_naive_loop(self):
-        rng = np.random.default_rng(0)
-        s = rng.normal(size=57)
-        got = moving_average(s, 10)
-        for i in range(len(s)):
-            lo = max(0, i - 9)
-            assert got[i] == pytest.approx(np.mean(s[lo:i + 1]))
-
-    def test_window_one_is_identity(self):
-        s = np.array([3.0, -1.0, 2.0])
-        assert np.array_equal(moving_average(s, 1), s)
-
-    @settings(max_examples=50, deadline=None)
-    @given(st.lists(st.floats(-100, 100), min_size=1, max_size=40),
-           st.integers(1, 50))
-    def test_bounded_by_series_extremes(self, series, window):
-        ma = moving_average(series, window)
-        assert np.all(ma >= min(series) - 1e-9)
-        assert np.all(ma <= max(series) + 1e-9)
-
-    def test_rejects_bad_input(self):
-        with pytest.raises(ValueError):
-            moving_average([], 5)
-        with pytest.raises(ValueError):
-            moving_average([1.0], 0)
 
 
 class TestRunConfig:
@@ -98,7 +76,7 @@ class TestRunExperiment:
     def test_moving_average_column_is_trailing_window(self, tmp_path):
         run_dir = run_experiment(small_config(tmp_path, moving_window=5))
         m = read_metrics(run_dir)
-        expect = moving_average(m["reward"], 5)
+        expect = trailing_means(m["reward"], 5)
         assert np.allclose(m["moving_avg_reward"], expect)
 
     def test_zero_budget_writes_header_only(self, tmp_path):
@@ -149,7 +127,7 @@ def _write_fake_run(root, name, rewards, window=3, budget=None, **cfg_kw):
     cfg = RunConfig(episode_budget=budget if budget is not None else len(rewards),
                     moving_window=window, out_dir=d, **cfg_kw)
     cfg.save(os.path.join(d, "config.txt"))
-    ma = moving_average(rewards, window)
+    ma = trailing_means(rewards, window)
     with open(os.path.join(d, "metrics.csv"), "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(METRICS_COLUMNS)
@@ -202,8 +180,8 @@ class TestSummarize:
 
 
 class TestEvaluate:
-    def _checkpoint(self, tmp_path, obs_dim, n_actions):
-        params = init_model(ModelConfig(obs_dim, n_actions, (8,)),
+    def _checkpoint(self, tmp_path, obs_dim, n_actions, hidden=(8,)):
+        params = init_model(ModelConfig(obs_dim, n_actions, hidden),
                             np.random.default_rng(0))
         path = str(tmp_path / "init.ckpt")
         params.save(path)
@@ -229,6 +207,33 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate(ckpt, "gridgoal", episodes=1, seed=0,
                      env_kwargs={"size": 8})
+
+    # The first two match the environment's observation width, so a check of
+    # trunk0.W alone lets them through; the third has no trunk0 at all.
+    @pytest.mark.parametrize("net,env,env_kwargs", [
+        ((4, 2, (8,)), "gridgoal", {"size": 2}),       # 2 actions, env has 4
+        ((4, 4, (8,)), "polebalance", {}),             # 4 actions, env has 2
+        ((16, 4, ()), "gridgoal", {"size": 8}),        # no trunk, obs 16 vs 64
+    ], ids=["polebalance-on-gridgoal", "gridgoal-on-polebalance", "no-trunk-wrong-obs"])
+    def test_checkpoint_of_another_network_rejected(self, tmp_path, net, env, env_kwargs):
+        ckpt = self._checkpoint(tmp_path, *net)
+        with pytest.raises(ValueError):
+            evaluate(ckpt, env, episodes=1, seed=0, env_kwargs=env_kwargs)
+
+    @pytest.mark.parametrize("bad", [np.zeros(8), np.array(1.0)], ids=["1-d", "scalar"])
+    def test_malformed_trunk_weight_rejected(self, tmp_path, bad):
+        params = init_model(ModelConfig(4, 2, (8,)), np.random.default_rng(0))
+        tensors = {k: params[k] for k in params}
+        tensors["trunk0.W"] = bad
+        path = str(tmp_path / "bad.ckpt")
+        ParamSet(tensors).save(path)
+        with pytest.raises(ValueError):
+            evaluate(path, "polebalance", episodes=1, seed=0)
+
+    def test_checkpoint_without_trunk_evaluates(self, tmp_path):
+        ckpt = self._checkpoint(tmp_path, 4, 2, hidden=())
+        report = evaluate(ckpt, "polebalance", episodes=2, seed=0)
+        assert report.episodes == 2 and report.mean_length >= 1
 
     def test_bomberman_outcomes_and_replays(self, tmp_path):
         ckpt = self._checkpoint(tmp_path, 22 * 36, 6)

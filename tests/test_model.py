@@ -2,15 +2,18 @@
 checks, and exact recovery of the plain actor-critic when the
 terminal-prediction weight is zero."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from a3ctp.envs import make_env
 from a3ctp.losses import LossWeights
 from a3ctp.model import (
     ModelConfig, backward_batch, forward_batch, init_model, model_backward,
     model_forward, rollout_loss, sample_action,
 )
-from a3ctp.nn import NonFiniteError, ParamSet, ShapeError, backward_mlp, forward_mlp, gradient_check
+from a3ctp.nn import NonFiniteError, ShapeError, gradient_check
 
 
 def small_cfg(obs_dim=6, n_actions=4, hidden=(8, 8)):
@@ -177,15 +180,44 @@ class TestTPInteraction:
                    for k in g_on if k.startswith(("tp", "trunk")))
 
 
+def mlp_forward(params, x, layers):
+    """A stack of dense layers, each (name, activation) with activation
+    "tanh" or "linear": the generic layer-by-layer forward the model's
+    forward pass replaced. Returns (output, cache)."""
+    h = x
+    cache = {"pre": [], "post": [h], "layers": layers}
+    for name, activation in layers:
+        z = h @ params[f"{name}.W"] + params[f"{name}.b"]
+        h = np.tanh(z) if activation == "tanh" else z
+        cache["pre"].append(z)
+        cache["post"].append(h)
+    return h, cache
+
+
+def mlp_backward(params, cache, d_out, grads):
+    """Backward pass matching an mlp_forward cache: accumulates parameter
+    gradients into `grads` and returns the gradient w.r.t. the input."""
+    d = d_out
+    for i in range(len(cache["layers"]) - 1, -1, -1):
+        name, activation = cache["layers"][i]
+        a = cache["post"][i + 1]
+        dz = d * (1.0 - a * a) if activation == "tanh" else d
+        x = cache["post"][i]
+        grads[f"{name}.W"] = grads[f"{name}.W"] + x.T @ dz
+        grads[f"{name}.b"] = grads[f"{name}.b"] + dz.sum(axis=0)
+        d = dz @ params[f"{name}.W"].T
+    return d
+
+
 def layered_forward(params, cfg, obs):
-    """Forward pass composed from nn.forward_mlp, one stack per head: the
+    """Forward pass composed from mlp_forward, one stack per head: the
     reference the model's forward must match bit for bit."""
     obs = np.atleast_2d(np.asarray(obs, dtype=np.float64))
-    heads = cfg.head_layers()
-    h, trunk_cache = forward_mlp(params, obs, cfg.trunk_layers())
-    logits, pol = forward_mlp(params, h, [heads["policy"]])
-    v, val = forward_mlp(params, h, [heads["value"]])
-    u, tp_cache = forward_mlp(params, h, [heads["tp"]])
+    trunk = [(f"trunk{i}", "tanh") for i in range(len(cfg.hidden))]
+    h, trunk_cache = mlp_forward(params, obs, trunk)
+    logits, pol = mlp_forward(params, h, [("policy", "linear")])
+    v, val = mlp_forward(params, h, [("value", "linear")])
+    u, tp_cache = mlp_forward(params, h, [("tp", "linear")])
     e = np.exp(logits - logits.max(axis=-1, keepdims=True))
     probs = e / e.sum(axis=-1, keepdims=True)
     tp = 1.0 / (1.0 + np.exp(-u[:, 0]))
@@ -193,7 +225,7 @@ def layered_forward(params, cfg, obs):
 
 
 def layered_backward(params, cfg, obs, actions, adv, ret, y, w, use_tp):
-    """Backward pass composed from nn.backward_mlp with the same loss
+    """Backward pass composed from mlp_backward with the same loss
     arithmetic as the model: the reference for its gradients."""
     probs, v, tp_pred, (trunk, pol, val, tp_cache) = layered_forward(params, cfg, obs)
     T, A = probs.shape
@@ -206,14 +238,13 @@ def layered_backward(params, cfg, obs, actions, adv, ret, y, w, use_tp):
     d_logits += w.lambda_h * probs * (logp + ent[:, None]) / T
     d_v = w.lambda_v * (-2.0 / T) * (ret - v)
     grads = params.zeros_like()
-    d_h_pol, _ = backward_mlp(pol, d_logits, grads)
-    d_h_val, _ = backward_mlp(val, d_v[:, None], grads)
+    d_h_pol = mlp_backward(params, pol, d_logits, grads)
+    d_h_val = mlp_backward(params, val, d_v[:, None], grads)
     d_h = d_h_pol + d_h_val
     if use_tp:
         d_u = w.lambda_tp * (-2.0 / T) * (y - tp_pred) * tp_pred * (1.0 - tp_pred)
-        d_h_tp, _ = backward_mlp(tp_cache, d_u[:, None], grads)
-        d_h = d_h + d_h_tp
-    backward_mlp(trunk, d_h, grads)
+        d_h = d_h + mlp_backward(params, tp_cache, d_u[:, None], grads)
+    mlp_backward(params, trunk, d_h, grads)
     return grads
 
 
@@ -289,3 +320,29 @@ class TestSampleAction:
         rng = np.random.default_rng(0)
         assert {sample_action(probs, rng) for _ in range(50)} <= {0, 1, 2}
         assert sample_action(probs, np.random.default_rng(0)) == 2
+
+
+class TestInit:
+    # sha256 of init_model(cfg, default_rng(0)).to_bytes() with the default
+    # hidden widths, as the layer-by-layer initializer produced them.
+    PINS = {
+        ("gridgoal", 8): "b6a44b38d2ac3869a63b68e8c45d83d6ac25142557e235842c0823cc2db41cee",
+        ("polebalance", None): "be807a0618a6c3cf26fabd434a5d8e01270f5089a0d0e1eb6b98f681126b55c3",
+        ("minibomber-static", 8): "ea587696e8a762f6727928bc890a5337f62b44adcd151318209d4c56f1b718f6",
+    }
+
+    @pytest.mark.parametrize("env,size", list(PINS))
+    def test_init_bytes_are_pinned(self, env, size):
+        spec = make_env(env, **({} if size is None else {"size": size})).spec()
+        cfg = ModelConfig(spec.obs_dim, spec.n_actions)
+        blob = init_model(cfg, np.random.default_rng(0)).to_bytes()
+        assert hashlib.sha256(blob).hexdigest() == self.PINS[env, size]
+
+    def test_layers_are_the_manifest(self):
+        cfg = ModelConfig(6, 4, (8, 5))
+        assert cfg.layers == (("trunk0", 6, 8), ("trunk1", 8, 5), ("policy", 5, 4),
+                              ("value", 5, 1), ("tp", 5, 1))
+        assert cfg.trunk_keys == (("trunk0.W", "trunk0.b"), ("trunk1.W", "trunk1.b"))
+        params = init_model(cfg, np.random.default_rng(0))
+        assert params.names() == [f"{n}.{k}" for n, _, _ in cfg.layers for k in "Wb"]
+        assert ModelConfig(6, 4, ()).layers[0] == ("policy", 6, 4)

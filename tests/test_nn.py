@@ -1,6 +1,7 @@
-"""Network-core tests: forward/backward correctness against naive oracles,
-Adam against a direct transcription of its update equations, gradient
-checking, and bit-exact serialization."""
+"""Network-core tests: the model's forward pass against a naive oracle, the
+dense backward step against finite differences, Adam against a direct
+transcription of its update equations, gradient checking, and bit-exact
+serialization."""
 
 import io
 
@@ -10,111 +11,126 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from a3ctp.losses import LossWeights
+from a3ctp.model import ModelConfig, forward_batch, init_model, model_backward, rollout_loss
 from a3ctp.nn import (
-    AdamState, GradCheckReport, LayerDef, ParamSet, ShapeError, adam_step,
-    backward_mlp, clip_global_norm, forward_mlp, gradient_check, init_layers,
+    AdamState, GradCheckReport, ParamSet, ShapeError, adam_step, clip_global_norm,
+    dense_backward, gradient_check,
 )
 
 
-def three_layer_net(rng):
-    layers = [
-        LayerDef("l0", 5, 7, "tanh"),
-        LayerDef("l1", 7, 6, "relu"),
-        LayerDef("l2", 6, 3, "linear"),
-    ]
-    return layers, init_layers(layers, rng)
+def small_net(rng, obs_dim=5, n_actions=3, hidden=(7, 6)):
+    """A three-headed model with two tanh trunk layers."""
+    cfg = ModelConfig(obs_dim, n_actions, hidden)
+    return cfg, init_model(cfg, rng)
 
 
-def naive_forward(params, x, layers):
-    """Straight-line re-computation with explicit nested loops."""
-    h = list(x)
-    for layer in layers:
-        W = params[f"{layer.name}.W"]
-        b = params[f"{layer.name}.b"]
+def naive_forward(params, cfg, x):
+    """Straight-line re-computation of (probs, value, tp) for one
+    observation, with explicit nested loops."""
+    def dense(h, name, fan_out):
+        W, b = params[f"{name}.W"], params[f"{name}.b"]
         out = []
-        for j in range(layer.fan_out):
+        for j in range(fan_out):
             acc = b[j]
-            for i in range(layer.fan_in):
+            for i in range(len(h)):
                 acc += h[i] * W[i, j]
             out.append(acc)
-        if layer.activation == "tanh":
-            out = [np.tanh(v) for v in out]
-        elif layer.activation == "relu":
-            out = [max(0.0, v) for v in out]
-        elif layer.activation == "sigmoid":
-            out = [1.0 / (1.0 + np.exp(-v)) for v in out]
-        h = out
-    return np.array(h)
+        return out
+
+    h = list(x)
+    for i, width in enumerate(cfg.hidden):
+        h = [np.tanh(v) for v in dense(h, f"trunk{i}", width)]
+    logits = np.array(dense(h, "policy", cfg.n_actions))
+    e = np.exp(logits - logits.max())
+    value = dense(h, "value", 1)[0]
+    tp = 1.0 / (1.0 + np.exp(-dense(h, "tp", 1)[0]))
+    return e / e.sum(), value, tp
 
 
 class TestForward:
     def test_all_zero_params_give_zero_preactivations(self):
-        layers = [LayerDef("l0", 4, 3, "linear")]
-        params = ParamSet({"l0.W": np.zeros((4, 3)), "l0.b": np.zeros(3)})
-        out, _ = forward_mlp(params, np.array([1.0, -2.0, 3.0, 4.0]), layers)
-        assert np.array_equal(out, np.zeros(3))
+        cfg, params = small_net(np.random.default_rng(0), obs_dim=4)
+        params.flat[:] = 0.0
+        probs, v, tp, cache = forward_batch(params, cfg, np.array([[1.0, -2.0, 3.0, 4.0]]))
+        for h in cache["post"][1:]:
+            assert np.array_equal(h, np.zeros_like(h))
+        assert np.array_equal(cache["logits"], np.zeros((1, 3)))
+        assert np.array_equal(v, [0.0]) and np.array_equal(tp, [0.5])
+        assert np.array_equal(probs, np.full((1, 3), 1.0 / 3.0))
 
     def test_identity_layer_passes_input_through(self):
-        layers = [LayerDef("l0", 4, 4, "linear")]
-        params = ParamSet({"l0.W": np.eye(4), "l0.b": np.zeros(4)})
-        x = np.array([0.5, -1.5, 2.0, 0.0])
-        out, _ = forward_mlp(params, x, layers)
-        assert np.array_equal(out, x)
+        # With no trunk, an identity policy head's logits are the input.
+        cfg, params = small_net(np.random.default_rng(0), obs_dim=4, n_actions=4, hidden=())
+        params["policy.W"] = np.eye(4)
+        params["policy.b"] = np.zeros(4)
+        x = np.array([[0.5, -1.5, 2.0, 0.0]])
+        _, _, _, cache = forward_batch(params, cfg, x)
+        assert np.array_equal(cache["logits"], x)
 
     def test_matches_naive_nested_loop_recomputation(self):
         rng = np.random.default_rng(7)
-        layers, params = three_layer_net(rng)
+        cfg, params = small_net(rng)
         x = rng.normal(size=5)
-        out, _ = forward_mlp(params, x, layers)
-        assert np.allclose(out, naive_forward(params, x, layers), atol=1e-12)
+        probs, v, tp, _ = forward_batch(params, cfg, x[None, :])
+        want_probs, want_v, want_tp = naive_forward(params, cfg, x)
+        assert np.allclose(probs[0], want_probs, atol=1e-12)
+        assert np.isclose(v[0], want_v, atol=1e-12)
+        assert np.isclose(tp[0], want_tp, atol=1e-12)
 
     def test_shape_mismatch_raises(self):
-        rng = np.random.default_rng(0)
-        layers, params = three_layer_net(rng)
+        cfg, params = small_net(np.random.default_rng(0))
         with pytest.raises(ShapeError):
-            forward_mlp(params, np.zeros(4), layers)
+            forward_batch(params, cfg, np.zeros((1, 4)))
 
     def test_repeated_calls_bit_identical(self):
         rng = np.random.default_rng(3)
-        layers, params = three_layer_net(rng)
-        x = rng.normal(size=5)
-        a, _ = forward_mlp(params, x, layers)
-        b, _ = forward_mlp(params, x, layers)
-        assert np.array_equal(a, b)
+        cfg, params = small_net(rng)
+        x = rng.normal(size=(3, 5))
+        a = forward_batch(params, cfg, x)[:3]
+        b = forward_batch(params, cfg, x)[:3]
+        assert all(np.array_equal(p, q) for p, q in zip(a, b))
 
 
 class TestBackward:
+    """`dense_backward`, the one backward step the model is built from."""
+
+    def _layer(self, rng, fan_in=5, fan_out=3, T=4):
+        return (rng.normal(size=(T, fan_in)), rng.normal(size=(fan_in, fan_out)),
+                rng.normal(size=fan_out))
+
     def test_zero_output_gradient_gives_zero_param_gradients(self):
-        rng = np.random.default_rng(1)
-        layers, params = three_layer_net(rng)
-        _, cache = forward_mlp(params, rng.normal(size=5), layers)
-        _, grads = backward_mlp(cache, np.zeros(3))
-        for k in grads:
-            assert np.array_equal(grads[k], np.zeros_like(grads[k]))
+        x, W, _ = self._layer(np.random.default_rng(1))
+        gW, gb = np.zeros_like(W), np.zeros(W.shape[1])
+        d_x = dense_backward(x, np.zeros((x.shape[0], W.shape[1])), W, gW, gb)
+        assert not gW.any() and not gb.any() and not d_x.any()
 
     def test_single_linear_layer_weight_gradient_is_input(self):
-        layers = [LayerDef("l0", 3, 2, "linear")]
-        params = ParamSet({"l0.W": np.zeros((3, 2)), "l0.b": np.zeros(2)})
-        x = np.array([1.0, 2.0, 3.0])
-        _, cache = forward_mlp(params, x, layers)
+        x = np.array([[1.0, 2.0, 3.0]])
+        W = np.zeros((3, 2))
+        gW, gb = np.zeros((3, 2)), np.zeros(2)
         # loss = output[0]
-        _, grads = backward_mlp(cache, np.array([1.0, 0.0]))
-        assert np.allclose(grads["l0.W"][:, 0], x)
-        assert np.allclose(grads["l0.W"][:, 1], 0.0)
+        dense_backward(x, np.array([[1.0, 0.0]]), W, gW, gb)
+        assert np.array_equal(gW[:, 0], x[0])
+        assert np.array_equal(gW[:, 1], np.zeros(3))
+        assert np.array_equal(gb, [1.0, 0.0])
+        with pytest.raises(ShapeError):
+            dense_backward(x, np.zeros((1, 3)), W, gW, gb)
 
     def test_matches_central_finite_differences(self):
+        # A tanh layer, as in the trunk: loss = sum(w * tanh(x @ W + b)).
         rng = np.random.default_rng(11)
-        layers, params = three_layer_net(rng)
-        x = rng.normal(size=5)
-        w = rng.normal(size=3)  # loss = w . output
+        x, W, b = self._layer(rng)
+        w = rng.normal(size=(x.shape[0], W.shape[1]))
+        params = ParamSet({"l.W": W, "l.b": b, "x": x})
 
         def loss_fn(p):
-            out, _ = forward_mlp(p, x, layers)
-            return float(w @ out)
+            return float(np.sum(w * np.tanh(p["x"] @ p["l.W"] + p["l.b"])))
 
         def grad_fn(p):
-            _, cache = forward_mlp(p, x, layers)
-            _, g = backward_mlp(cache, w)
+            g = p.zeros_like()
+            a = np.tanh(p["x"] @ p["l.W"] + p["l.b"])
+            g["x"] = dense_backward(p["x"], w * (1.0 - a * a), p["l.W"], g["l.W"], g["l.b"])
             return g
 
         report = gradient_check(params, loss_fn, grad_fn, tolerance=1e-4)
@@ -201,17 +217,17 @@ class TestGradientCheck:
 
     def test_corrupted_backward_fails(self):
         rng = np.random.default_rng(5)
-        layers, params = three_layer_net(rng)
-        x = rng.normal(size=5)
+        cfg, params = small_net(rng, hidden=(4,))
+        obs = rng.normal(size=(3, 5))
+        actions, adv, ret, y = [0, 2, 1], rng.normal(size=3), rng.normal(size=3), rng.random(3)
+        w = LossWeights()
 
         def loss_fn(p):
-            out, _ = forward_mlp(p, x, layers)
-            return float(out.sum())
+            return rollout_loss(p, cfg, obs, actions, adv, ret, y, w)
 
         def bad_grad_fn(p):
-            _, cache = forward_mlp(p, x, layers)
-            _, g = backward_mlp(cache, np.ones(3))
-            g["l2.b"] = -g["l2.b"]  # one sign flip
+            g, _ = model_backward(p, cfg, obs, actions, adv, ret, y, w)
+            g["value.b"] = -g["value.b"]  # one sign flip
             return g
 
         report = gradient_check(params, loss_fn, bad_grad_fn, tolerance=1e-4)
@@ -222,7 +238,7 @@ class TestGradientCheck:
 class TestSerialization:
     def test_paramset_roundtrip_bit_exact(self):
         rng = np.random.default_rng(9)
-        _, params = three_layer_net(rng)
+        _, params = small_net(rng)
         params.version = 42
         restored = ParamSet.from_bytes(params.to_bytes())
         assert restored.version == 42
@@ -230,13 +246,13 @@ class TestSerialization:
 
     def test_equal_paramsets_serialize_identically(self):
         rng = np.random.default_rng(9)
-        _, a = three_layer_net(rng)
+        _, a = small_net(rng)
         b = a.copy()
         assert a.to_bytes() == b.to_bytes()
 
     def test_adamstate_roundtrip_bit_exact(self):
         rng = np.random.default_rng(4)
-        _, params = three_layer_net(rng)
+        _, params = small_net(rng)
         state = AdamState.for_params(params, lr=3e-4)
         grads = params.zeros_like()
         for k in grads:
@@ -250,7 +266,7 @@ class TestSerialization:
 
     def test_file_roundtrip(self, tmp_path):
         rng = np.random.default_rng(2)
-        _, params = three_layer_net(rng)
+        _, params = small_net(rng)
         path = tmp_path / "ckpt.bin"
         params.save(path)
         assert ParamSet.load(path).equal_bits(params)
@@ -301,7 +317,7 @@ def per_tensor_to_bytes(tensors, extra):
 class TestFlatBuffer:
     def test_views_share_the_buffer_in_insertion_order(self):
         rng = np.random.default_rng(0)
-        _, params = three_layer_net(rng)
+        _, params = small_net(rng)
         assert params.flat.flags["C_CONTIGUOUS"] and params.flat.dtype == np.float64
         assert params.flat.size == sum(params[k].size for k in params)
         offset = 0
@@ -315,7 +331,7 @@ class TestFlatBuffer:
 
     def test_copy_and_zeros_like_are_independent(self):
         rng = np.random.default_rng(1)
-        _, params = three_layer_net(rng)
+        _, params = small_net(rng)
         params.version = 7
         before = params.flat.copy()
         dup, zeros = params.copy(), params.zeros_like()
@@ -324,18 +340,18 @@ class TestFlatBuffer:
         assert not np.shares_memory(dup.flat, params.flat)
         assert not np.shares_memory(zeros.flat, params.flat)
         assert np.array_equal(dup.flat, before) and not zeros.flat.any()
-        dup["l0.W"][:] = 5.0
+        dup["trunk0.W"][:] = 5.0
         zeros.flat += 1.0
         assert np.array_equal(params.flat, before)
         params.flat[:] = -1.0
-        assert not np.any(dup["l1.W"] == -1.0) and np.all(zeros.flat == 1.0)
+        assert not np.any(dup["trunk1.W"] == -1.0) and np.all(zeros.flat == 1.0)
 
     def test_tensors_mapping_is_read_only(self):
-        _, params = three_layer_net(np.random.default_rng(2))
-        view = params["l2.b"]
+        _, params = small_net(np.random.default_rng(2))
+        view = params["tp.b"]
         with pytest.raises(TypeError):
-            params.tensors["l2.b"] = -view
-        assert params["l2.b"] is view and np.shares_memory(view, params.flat)
+            params.tensors["tp.b"] = -view
+        assert params["tp.b"] is view and np.shares_memory(view, params.flat)
 
     def test_setitem_existing_name_writes_in_place(self):
         params = ParamSet({"a.W": np.zeros((2, 3)), "a.b": np.zeros(3)})
@@ -347,17 +363,18 @@ class TestFlatBuffer:
             params["a.b"] = np.zeros(4)
 
     def test_setitem_new_name_extends_the_layout(self):
+        """It does not: the layout is fixed when the set is built, so a new
+        name raises KeyError and leaves the buffer and its views as they were."""
         params = ParamSet({"a.W": np.ones((2, 2))})
-        params["a.b"] = np.array([7.0, 8.0])
-        params["s"] = 9.0
-        assert params.names() == ["a.W", "a.b", "s"]
-        assert params["s"].shape == ()
-        assert np.array_equal(params.flat, [1.0, 1.0, 1.0, 1.0, 7.0, 8.0, 9.0])
-        assert all(np.shares_memory(params[k], params.flat) for k in params)
+        flat, view = params.flat, params["a.W"]
+        with pytest.raises(KeyError):
+            params["a.b"] = np.array([7.0, 8.0])
+        assert params.names() == ["a.W"] and params.flat is flat and params["a.W"] is view
+        assert np.array_equal(flat, np.ones(4))
 
     def test_adam_equals_per_tensor_reference_over_50_steps(self):
         rng = np.random.default_rng(12)
-        _, params = three_layer_net(rng)
+        _, params = small_net(rng)
         state = AdamState.for_params(params, lr=3e-3)
         ref_p = {k: params[k].copy() for k in params}
         ref_m = {k: np.zeros_like(params[k]) for k in params}
@@ -383,7 +400,7 @@ class TestFlatBuffer:
 
     def test_to_bytes_equals_per_tensor_writer(self):
         rng = np.random.default_rng(8)
-        _, params = three_layer_net(rng)
+        _, params = small_net(rng)
         params.version = 31
         assert params.to_bytes() == per_tensor_to_bytes(params.tensors, {"version": "31"})
         state = AdamState.for_params(params, lr=2e-4)

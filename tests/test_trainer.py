@@ -27,8 +27,7 @@ def tiny_model(obs_dim=16, n_actions=4, hidden=(8,)):
 def make_rollout(T=5, terminal=False, bootstrap=0.0):
     return Rollout(
         obs=np.random.default_rng(7).normal(size=(T, 16)), actions=np.zeros(T, dtype=np.int64),
-        rewards=np.ones(T), values=np.zeros(T), tp_preds=np.full(T, 0.5),
-        step_indices=np.arange(T), terminal=terminal, bootstrap_value=bootstrap,
+        rewards=np.ones(T), values=np.zeros(T), step_indices=np.arange(T), terminal=terminal, bootstrap_value=bootstrap,
     )
 
 
@@ -117,8 +116,9 @@ class TestGlobalStore:
         g = store.params.zeros_like()
         g["policy.b"] = np.ones_like(g["policy.b"])
         v0 = store.version
-        store.apply_and_sync(g.copy())
-        store.apply_and_sync(g.copy())
+        local = store.snapshot()
+        store.apply_and_sync(g.copy(), local)
+        store.apply_and_sync(g.copy(), local)
         assert store.version == v0 + 2 and store.update_count == 2
 
     def test_sync_copies_into_the_local_buffer(self):
