@@ -6,8 +6,8 @@ list each step:
      cover, onto a safe neighbor
   2. place a bomb when an enemy or wood sits inside the current blast
      radius and a safe retreat cell exists
-  3. walk the Dijkstra-shortest path to the nearest visible power-up, else
-     toward the nearest reachable wood or the enemy
+  3. walk a shortest path to the nearest visible power-up, else toward the
+     nearest reachable wood or the enemy
   4. stay put
 Candidate ties are broken by fixed action order (up, down, left, right),
 then by the injected rng among equally good moves.
@@ -15,7 +15,7 @@ then by the injected rng among equally good moves.
 
 from __future__ import annotations
 
-import heapq
+from collections import deque
 
 import numpy as np
 
@@ -56,23 +56,20 @@ def _traversable(board: BomberBoard, r: int, c: int) -> bool:
 
 def dijkstra(board: BomberBoard, start: tuple[int, int],
              blocked: set[tuple[int, int]] | None = None) -> dict[tuple[int, int], int]:
-    """Shortest path lengths from start over traversable cells (unit edge
-    cost). `blocked` cells are not entered."""
+    """Shortest path lengths from start over traversable cells. Every edge
+    costs 1, so this is a breadth-first search. `blocked` cells are not
+    entered."""
     blocked = blocked or set()
     dist = {start: 0}
-    heap = [(0, start)]
-    while heap:
-        d, (r, c) = heapq.heappop(heap)
-        if d > dist.get((r, c), 10 ** 9):
-            continue
+    frontier = deque([start])
+    while frontier:
+        r, c = frontier.popleft()
+        d = dist[(r, c)] + 1
         for dr, dc in MOVE_DELTAS.values():
-            nr, nc = r + dr, c + dc
-            if not _traversable(board, nr, nc) or (nr, nc) in blocked:
-                continue
-            nd = d + 1
-            if nd < dist.get((nr, nc), 10 ** 9):
-                dist[(nr, nc)] = nd
-                heapq.heappush(heap, (nd, (nr, nc)))
+            cell = (r + dr, c + dc)
+            if cell not in dist and cell not in blocked and _traversable(board, *cell):
+                dist[cell] = d
+                frontier.append(cell)
     return dist
 
 
@@ -197,19 +194,21 @@ def rulebased_opponent(board: BomberBoard, agent_id: int = 1,
         if _has_retreat_after_bombing(board, agent_id, danger):
             return BOMB
 
-    # (3) walk toward the nearest power-up, else wood/enemy
-    dist = dijkstra(board, me.pos, blocked=set(danger))
+    # (3) walk toward the nearest power-up, else wood/enemy. The graph of
+    # traversable, unblocked cells is undirected, so one search from the
+    # target gives every neighbour's distance back to it.
+    blocked = set(danger)
+    dist = dijkstra(board, me.pos, blocked=blocked)
     target = _nearest_target(board, agent_id, dist)
     if target is not None:
         goal_d = dist[target]
+        back = dijkstra(board, target, blocked=blocked)
         candidates = []
         for action in ACTION_ORDER:
             dr, dc = MOVE_DELTAS[action]
             cell = (me.row + dr, me.col + dc)
-            if cell in dist and dist[cell] == 1:
-                d_back = dijkstra(board, cell, blocked=set(danger)).get(target, 10 ** 9)
-                if d_back == goal_d - 1:
-                    candidates.append(action)
+            if dist.get(cell) == 1 and back.get(cell) == goal_d - 1:
+                candidates.append(action)
         if candidates:
             return int(rng.choice(candidates))
 

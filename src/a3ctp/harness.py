@@ -4,20 +4,22 @@ evaluation.
 
 A run directory is self-describing:
     config.txt      every config key (defaults echoed), key=value text
-    metrics.csv     one row per completed episode, fixed column order
+    metrics.csv     one row per episode within the budget, in the order the
+                    trainer booked them, fixed column order
     timing.csv      wall-clock sidecar (episode, seconds); kept out of
                     metrics.csv so metrics are bit-reproducible
     checkpoints/    parameter checkpoints, final.ckpt always present
     replays/        evaluation episode replays (bomberman only)
+
+`run_experiment` calls `train` in the calling thread and hands it a writer
+in place of a queue: the trainer books each episode once, and the writer
+turns its row into one line of each csv file as it is booked.
 """
 
 from __future__ import annotations
 
 import csv
 import os
-import queue
-import threading
-from collections import deque
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -29,12 +31,7 @@ from .envs.minibomber.replay import save_replay
 from .losses import LossWeights
 from .model import ModelConfig, forward_batch, sample_action
 from .nn import ParamSet
-from .trainer import TrainConfig, train
-
-METRICS_COLUMNS = (
-    "worker_id", "episode", "length", "reward", "running_n",
-    "policy_loss", "value_loss", "tp_loss", "entropy", "moving_avg_reward",
-)
+from .trainer import METRICS_COLUMNS, MetricsRow, TrainConfig, train
 
 ALGORITHMS = ("a3c", "a3c-tp")
 
@@ -131,44 +128,29 @@ def run_experiment(config: RunConfig) -> str:
     )
     env_factory = lambda wid: make_env(config.env, **config.env_kwargs())
 
-    q: queue.Queue = queue.Queue()
-    failure: list[BaseException] = []
-
-    def _run():
-        try:
-            train(tc, env_factory, metrics_queue=q)
-        except BaseException as exc:
-            failure.append(exc)
-            q.put(None)
-
-    t = threading.Thread(target=_run, daemon=True)
-    t.start()
-    window: deque[float] = deque(maxlen=config.moving_window)
     with open(os.path.join(run_dir, "metrics.csv"), "w", newline="") as mf, \
             open(os.path.join(run_dir, "timing.csv"), "w", newline="") as tf:
-        mw = csv.writer(mf)
-        tw = csv.writer(tf)
-        mw.writerow(METRICS_COLUMNS)
-        tw.writerow(("episode", "wall_time_s"))
-        file_episode = 0
-        while True:
-            row = q.get()
-            if row is None:
-                break
-            file_episode += 1
-            window.append(row.reward)
-            ma = sum(window) / len(window)
-            mw.writerow([
-                row.worker_id, file_episode, row.length, _format(row.reward),
-                _format(row.running_n), _format(row.policy_loss),
-                _format(row.value_loss), _format(row.tp_loss),
-                _format(row.entropy), _format(ma),
-            ])
-            tw.writerow([file_episode, f"{row.wall_time:.3f}"])
-    t.join()
-    if failure:
-        raise RuntimeError(f"training failed in {run_dir}") from failure[0]
+        writer = _RunFiles(csv.writer(mf), csv.writer(tf))
+        try:
+            train(tc, env_factory, metrics_queue=writer)
+        except Exception as exc:
+            raise RuntimeError(f"training failed in {run_dir}") from exc
     return run_dir
+
+
+class _RunFiles:
+    """The metrics queue `train` puts rows to: each row is one line of
+    metrics.csv and one of timing.csv; the final None is ignored."""
+
+    def __init__(self, metrics, timing):
+        self.metrics, self.timing = metrics, timing
+        metrics.writerow(METRICS_COLUMNS)
+        timing.writerow(("episode", "wall_time_s"))
+
+    def put(self, row: MetricsRow | None) -> None:
+        if row is not None:
+            self.metrics.writerow([_format(getattr(row, c)) for c in METRICS_COLUMNS])
+            self.timing.writerow([row.episode, f"{row.wall_time:.3f}"])
 
 
 def sweep_lambda_tp(base: RunConfig, values, seeds) -> list[str]:

@@ -13,21 +13,27 @@ buffer into the worker's own local buffer. Clipping runs once per update,
 in compute_update, before the lock is taken, and nothing is allocated
 inside it.
 
-Episode-length statistics feed one global TPLabeler so terminal-prediction
-targets are computable at rollout time, before the episode finishes. The
-trainer computes the loss parts nowhere itself: `losses.loss_parts` does,
-and it alone switches the terminal-prediction term. A config that asks
-for plain A3C is turned into `lambda_tp = 0` once, when `train` starts.
-Completed-episode metrics flow to the caller through an ordered queue.
+A finished episode is booked once, by `GlobalStore.finish_episode`, under
+the same lock: its length goes to the one TPLabeler (so terminal-prediction
+targets are computable at rollout time, before an episode finishes), it
+takes the next episode index, and its reward joins the one trailing window
+that both the `moving_avg_reward` column and early stopping read. Within
+the episode budget it also puts the episode's MetricsRow to the caller's
+metrics queue, so rows arrive in index order, and copies the parameters
+when a periodic checkpoint is due; the file is written after the lock is
+released. The trainer computes the loss parts nowhere itself:
+`losses.loss_parts` does, and it alone switches the terminal-prediction
+term. A config that asks for plain A3C is turned into `lambda_tp = 0`
+once, when `train` starts.
 """
 
 from __future__ import annotations
 
 import os
-import queue
 import threading
 import time
-from dataclasses import dataclass, field, replace
+from collections import deque
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -79,29 +85,34 @@ class MetricsRow:
     episode: int              # global completion index, 1-based
     length: int
     reward: float
-    running_n: float          # TPLabeler horizon after recording, -1 before first
+    running_n: float          # TPLabeler horizon after recording this episode
     policy_loss: float
     value_loss: float
     tp_loss: float
     entropy: float
+    moving_avg_reward: float  # mean reward of the trailing early-stop window
     wall_time: float          # seconds since run start (not deterministic)
 
 
+# The metrics.csv columns: every MetricsRow field but the wall time, which
+# is not reproducible and goes to its own sidecar.
+METRICS_COLUMNS = tuple(f.name for f in fields(MetricsRow) if f.name != "wall_time")
+
+
 class GlobalStore:
-    """Shared parameters, optimizer state, and run counters.
+    """Shared parameters, optimizer state, and the run's episode ledger.
 
     Snapshot reads copy under the lock; updates are serialized through
-    apply_and_sync. version increases by exactly one per applied update.
+    apply_and_sync, and finished episodes through finish_episode.
+    version increases by exactly one per applied update.
     """
 
-    def __init__(self, params: ParamSet, optimizer: AdamState,
-                 labeler: TPLabeler | None = None):
+    def __init__(self, params: ParamSet, optimizer: AdamState, window: int = 100):
         self.params = params
         self.optimizer = optimizer
-        self.labeler = labeler or TPLabeler()
+        self.labeler = TPLabeler()
         self.episode_count = 0
-        self.update_count = 0
-        self._recent_rewards: list[float] = []
+        self.rewards: deque[float] = deque(maxlen=window)  # the trailing reward window
         self._lock = threading.Lock()
 
     @property
@@ -119,23 +130,38 @@ class GlobalStore:
         is returned."""
         with self._lock:
             adam_step(self.params, grads, self.optimizer)
-            self.update_count += 1
             np.copyto(local.flat, self.params.flat)
             local.version = self.params.version
         return local
 
-    def finish_episode(self, reward: float, window: int) -> tuple[int, float | None]:
-        """Record a completed episode; returns (global episode index,
-        moving average over the last `window` episodes or None)."""
+    def finish_episode(self, cfg: TrainConfig, metrics_queue, worker_id: int, length: int,
+                       reward: float, losses: LossParts, wall_time: float):
+        """Book one finished episode, all under the lock: record its length in
+        the labeler, take the next index, and append its reward to the
+        trailing window. Within the budget, put its MetricsRow to
+        metrics_queue (when given) and copy the params when a checkpoint is
+        due. Returns (index, params copy or None, whether to stop): stop once
+        the budget is reached or a full window's mean reaches the target."""
         with self._lock:
+            self.labeler.record_episode(length)
             self.episode_count += 1
-            self._recent_rewards.append(reward)
-            if len(self._recent_rewards) > window:
-                self._recent_rewards.pop(0)
-            ma = None
-            if len(self._recent_rewards) == window:
-                ma = sum(self._recent_rewards) / window
-            return self.episode_count, ma
+            index = self.episode_count
+            self.rewards.append(reward)
+            mean = sum(self.rewards) / len(self.rewards)
+            checkpoint = None
+            if index <= cfg.episode_budget:
+                if metrics_queue is not None:
+                    metrics_queue.put(MetricsRow(
+                        worker_id, index, length, reward, self.labeler.horizon,
+                        losses.policy_loss, losses.value_loss, losses.tp_loss,
+                        losses.entropy, mean, wall_time))
+                if (cfg.checkpoint_dir is not None and cfg.checkpoint_cadence > 0
+                        and index % cfg.checkpoint_cadence == 0):
+                    checkpoint = self.params.copy()
+            full = len(self.rewards) == self.rewards.maxlen
+            stop = index >= cfg.episode_budget or (
+                cfg.early_stop_reward is not None and full and mean >= cfg.early_stop_reward)
+            return index, checkpoint, stop
 
 
 def collect_rollout(params: ParamSet, cfg: ModelConfig, env: Environment,
@@ -197,25 +223,24 @@ def compute_update(rollout: Rollout, params: ParamSet, cfg: ModelConfig,
     return grads, parts
 
 
-def train(cfg: TrainConfig, env_factory, metrics_queue: queue.Queue | None = None,
-          store: GlobalStore | None = None) -> GlobalStore:
+def train(cfg: TrainConfig, env_factory, metrics_queue=None) -> GlobalStore:
     """Run n_workers asynchronous workers until the episode budget (or an
     early-stop threshold) is exhausted.
 
     env_factory(worker_id) -> Environment, one private instance per worker.
-    Completed-episode MetricsRow objects are pushed to metrics_queue in
-    completion order; None is pushed once when training ends.
-    Returns the GlobalStore with final parameters.
+    metrics_queue is anything with a put(row) method, such as a
+    queue.Queue: the MetricsRow of each episode within the budget is put to
+    it in episode order, from a worker thread, under the store's lock; None
+    is put once when training ends. Returns the GlobalStore with final
+    parameters.
     """
     if not cfg.use_tp:  # plain A3C is the objective with lambda_tp == 0
         cfg = replace(cfg, weights=replace(cfg.weights, lambda_tp=0.0))
     if cfg.checkpoint_dir is not None:
         os.makedirs(cfg.checkpoint_dir, exist_ok=True)
     seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.n_workers + 1)
-    if store is None:
-        init_rng = np.random.default_rng(seeds[0])
-        params = init_model(cfg.model, init_rng)
-        store = GlobalStore(params, AdamState.for_params(params, lr=cfg.lr))
+    params = init_model(cfg.model, np.random.default_rng(seeds[0]))
+    store = GlobalStore(params, AdamState.for_params(params, lr=cfg.lr), cfg.early_stop_window)
     stop = threading.Event()
     start_time = time.monotonic()
     errors: list[BaseException] = []
@@ -269,27 +294,16 @@ def _worker_loop(wid: int, cfg: TrainConfig, env: Environment,
         acc.entropy += parts.entropy
         n_updates += 1
         if done:
-            store.labeler.record_episode(episode_step)
-            ep_idx, ma = store.finish_episode(episode_reward, cfg.early_stop_window)
-            if ep_idx <= cfg.episode_budget and metrics_queue is not None:
-                horizon = store.labeler.horizon
-                metrics_queue.put(MetricsRow(
-                    worker_id=wid, episode=ep_idx, length=episode_step,
-                    reward=episode_reward,
-                    running_n=horizon if horizon is not None else -1.0,
-                    policy_loss=acc.policy_loss / n_updates,
-                    value_loss=acc.value_loss / n_updates,
-                    tp_loss=acc.tp_loss / n_updates,
-                    entropy=acc.entropy / n_updates,
-                    wall_time=time.monotonic() - start_time,
-                ))
-            if (cfg.checkpoint_dir is not None and cfg.checkpoint_cadence > 0
-                    and ep_idx % cfg.checkpoint_cadence == 0):
-                store.snapshot().save(f"{cfg.checkpoint_dir}/ep{ep_idx:08d}.ckpt")
-            if ep_idx >= cfg.episode_budget:
-                stop.set()
-            if (cfg.early_stop_reward is not None and ma is not None
-                    and ma >= cfg.early_stop_reward):
+            losses = LossParts(policy_loss=acc.policy_loss / n_updates,
+                               value_loss=acc.value_loss / n_updates,
+                               entropy=acc.entropy / n_updates,
+                               tp_loss=acc.tp_loss / n_updates)
+            index, checkpoint, done_training = store.finish_episode(
+                cfg, metrics_queue, wid, episode_step, episode_reward, losses,
+                time.monotonic() - start_time)
+            if checkpoint is not None:
+                checkpoint.save(f"{cfg.checkpoint_dir}/ep{index:08d}.ckpt")
+            if done_training:
                 stop.set()
             if stop.is_set():
                 return

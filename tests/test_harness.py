@@ -4,11 +4,15 @@ end."""
 
 import csv
 import os
+import re
+import threading
 
 import numpy as np
 import pytest
 
+from a3ctp import harness
 from a3ctp.cli import main as cli_main
+from a3ctp.envs.gridgoal import GridGoal
 from a3ctp.harness import (
     METRICS_COLUMNS, RunConfig, evaluate, read_metrics, run_experiment, summarize,
     summary_table, sweep_lambda_tp,
@@ -95,6 +99,29 @@ class TestRunExperiment:
         with open(os.path.join(d2, "metrics.csv"), "rb") as f:
             b2 = f.read()
         assert b1 == b2
+
+    def test_worker_failure_names_the_run_and_leaves_no_thread(self, tmp_path, monkeypatch):
+        class EnvError(Exception):
+            pass
+
+        class Broken(GridGoal):
+            def step(self, action, rng):
+                raise EnvError("boom")
+
+        monkeypatch.setattr(harness, "make_env", lambda name, size, **kw: Broken(size, **kw))
+        threads_before = threading.active_count()
+        cfg = small_config(tmp_path)
+        with pytest.raises(RuntimeError, match="training failed in " + re.escape(cfg.out_dir)) as info:
+            run_experiment(cfg)
+        causes = []
+        exc = info.value
+        while exc is not None:
+            causes.append(exc)
+            exc = exc.__cause__
+        assert any(isinstance(e, EnvError) for e in causes)
+        with open(os.path.join(cfg.out_dir, "metrics.csv"), newline="") as f:
+            assert [tuple(r) for r in csv.reader(f)] == [METRICS_COLUMNS]
+        assert threading.active_count() == threads_before
 
     def test_a3c_run_reports_zero_tp_loss(self, tmp_path):
         run_dir = run_experiment(small_config(tmp_path, algorithm="a3c"))

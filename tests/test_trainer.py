@@ -12,7 +12,7 @@ from a3ctp import trainer
 from a3ctp.envs.gridgoal import GridGoal
 from a3ctp.losses import LossWeights, TPLabeler
 from a3ctp.model import ModelConfig, init_model
-from a3ctp.nn import AdamState
+from a3ctp.nn import AdamState, ParamSet
 from a3ctp.trainer import (
     GlobalStore, Rollout, TrainConfig, collect_rollout, compute_update, train,
 )
@@ -119,7 +119,7 @@ class TestGlobalStore:
         local = store.snapshot()
         store.apply_and_sync(g.copy(), local)
         store.apply_and_sync(g.copy(), local)
-        assert store.version == v0 + 2 and store.update_count == 2
+        assert store.version == v0 + 2 and store.optimizer.step == 2
 
     def test_sync_copies_into_the_local_buffer(self):
         cfg, store = self._store()
@@ -139,14 +139,29 @@ class TestGlobalStore:
         assert not np.any(store.params["policy.b"] == 99.0)
 
     def test_finish_episode_moving_average(self):
-        cfg, store = self._store()
+        cfg, params = tiny_model()
+        store = GlobalStore(params, AdamState.for_params(params), window=4)
+        tc = TrainConfig(model=cfg, episode_budget=100, early_stop_reward=0.5)
+        q = queue.Queue()
+        book = lambda r: store.finish_episode(tc, q, 0, 3, r, trainer.LossParts(), 0.0)
         for r in [1.0, 0.0, 1.0]:
-            idx, ma = store.finish_episode(r, window=4)
-        assert idx == 3 and ma is None  # window not yet full
-        idx, ma = store.finish_episode(0.0, window=4)
-        assert idx == 4 and ma == 0.5
-        idx, ma = store.finish_episode(1.0, window=4)
-        assert idx == 5 and ma == 0.5  # oldest evicted
+            idx, _, stop = book(r)
+        assert idx == 3 and not stop  # window not yet full
+        assert q.get().moving_avg_reward == 1.0 and q.get().moving_avg_reward == 0.5
+        assert q.get().moving_avg_reward == 2.0 / 3.0
+        idx, _, stop = book(0.0)
+        assert idx == 4 and q.get().moving_avg_reward == 0.5 and stop
+        idx, _, stop = book(0.0)
+        assert idx == 5 and q.get().moving_avg_reward == 0.25 and not stop  # oldest evicted
+
+    def test_finish_episode_stops_at_budget_and_books_no_row_past_it(self):
+        cfg, store = self._store()
+        q = queue.Queue()
+        tc = TrainConfig(model=cfg, episode_budget=2)
+        stops = [store.finish_episode(tc, q, 0, 3, 0.0, trainer.LossParts(), 0.0)[2]
+                 for _ in range(3)]
+        assert stops == [False, True, True]
+        assert [q.get().episode for _ in range(q.qsize())] == [1, 2]
 
 
 class TestTrain:
@@ -188,7 +203,7 @@ class TestTrain:
         q = queue.Queue()
         store = train(self._config(episode_budget=0),
                       lambda wid: GridGoal(4, max_steps=20), metrics_queue=q)
-        assert store.update_count == 0
+        assert store.version == 0 == store.optimizer.step
         assert q.get() is None
 
     def test_final_checkpoint_written(self, tmp_path):
@@ -202,6 +217,17 @@ class TestTrain:
               lambda wid: GridGoal(4, max_steps=20))
         assert (tmp_path / "ep00000005.ckpt").exists()
         assert (tmp_path / "ep00000010.ckpt").exists()
+
+    def test_periodic_checkpoints_stay_within_budget(self, tmp_path):
+        # Workers that finish an episode after the budget is reached book it,
+        # but it gets neither a metrics row nor a checkpoint.
+        train(self._config(n_workers=4, episode_budget=6, checkpoint_dir=str(tmp_path),
+                           checkpoint_cadence=1),
+              lambda wid: GridGoal(4, max_steps=20))
+        names = sorted(p.name for p in tmp_path.glob("ep*.ckpt"))
+        assert names == [f"ep{i:08d}.ckpt" for i in range(1, 7)]
+        versions = [ParamSet.load(tmp_path / name).version for name in names]
+        assert versions == sorted(versions)
 
     def test_worker_errors_propagate(self):
         class Broken(GridGoal):
@@ -237,8 +263,8 @@ class TestLock:
         store = train(TrainConfig(model=ModelConfig(16, 4, (8,)), n_workers=1,
                                   seed=3, episode_budget=10),
                       lambda wid: GridGoal(4, max_steps=20))
-        assert store.update_count > 0
-        assert len(calls) == store.update_count
+        assert store.version > 0
+        assert len(calls) == store.version
         assert all(c == trainer.DEFAULT_CLIP_NORM for c in calls)
 
     def test_concurrent_updates_are_neither_lost_nor_torn(self):
@@ -278,7 +304,7 @@ class TestLock:
             sys.setswitchinterval(old_interval)
         assert not any(t.is_alive() for t in threads)
         assert not errors, errors
-        assert store.version == store.update_count == n_threads * k
+        assert store.version == n_threads * k
         assert store.optimizer.step == n_threads * k
         assert store.params.equal_bits(serial.params)
         assert store.optimizer.m.equal_bits(serial.optimizer.m)
