@@ -62,6 +62,8 @@ class RunConfig:
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"algorithm must be one of {ALGORITHMS}")
+        if self.workers < 1:
+            raise ValueError(f"workers must be at least 1, not {self.workers}")
 
     def weights(self) -> LossWeights:
         return LossWeights(self.lambda_v, self.lambda_pi, self.lambda_h,
@@ -83,21 +85,30 @@ class RunConfig:
 
     @classmethod
     def load(cls, path) -> "RunConfig":
+        """Read a file written by `save`: key=value lines, where blank lines
+        and lines starting with '#' are skipped and a missing key keeps its
+        default. Raises ValueError, naming the line, for a line without '=',
+        an unknown key, a repeated key or a value of the wrong type."""
         kwargs = {}
         types = {f.name: f.type for f in fields(cls)}
         with open(path) as f:
-            for line in f:
+            for lineno, line in enumerate(f, 1):
                 line = line.strip()
                 if not line or line.startswith("#"):
                     continue
-                key, value = line.split("=", 1)
-                t = types[key]
-                if t == "int":
-                    kwargs[key] = int(value)
-                elif t == "float":
-                    kwargs[key] = float(value)
-                else:
-                    kwargs[key] = value
+                key, eq, value = line.partition("=")
+                where = f"{path}, line {lineno} ({line!r})"
+                if not eq:
+                    raise ValueError(f"{where}: not a key=value line")
+                if key not in types:
+                    raise ValueError(f"{where}: unknown key {key!r}")
+                if key in kwargs:
+                    raise ValueError(f"{where}: repeated key {key!r}")
+                parse = {"int": int, "float": float}.get(types[key], str)
+                try:
+                    kwargs[key] = parse(value)
+                except ValueError as exc:
+                    raise ValueError(f"{where}: {exc}") from None
         return cls(**kwargs)
 
 

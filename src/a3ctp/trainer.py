@@ -3,9 +3,24 @@
 Each worker owns a private environment, a seeded rng, and a local copy of
 the network parameters. It collects rollouts of up to t_max steps (never
 crossing an episode boundary), computes and norm-clips gradients of the
-combined loss locally, applies them to the shared global network under a
-single writer lock, and refreshes its local copy from the updated global
-parameters.
+combined loss locally, hands them to the one `GlobalStore`, which applies
+them to the global network under a single writer lock, and reads the
+updated global parameters back into its local copy.
+
+Where workers run: with one worker, the worker loop runs in the calling
+thread. With more, `train` forks exactly n_workers processes (this needs
+the POSIX `fork` start method), and the calling process keeps the
+`GlobalStore` and serves them: Adam, the lock, the episode ledger, the
+metrics rows and every checkpoint stay in that one process. Each worker
+runs `collect_rollout` and `compute_update`, with OpenBLAS pinned to one
+thread, over two anonymous shared-memory buffers made before the fork: its
+parameters and its gradients. Per update it copies its clipped gradients
+into its buffer and sends one message, which carries the finished
+episode's length, reward, mean losses and wall time when the update ended
+one. The parent applies the update, which writes the new parameters into
+the worker's buffer, books the episode, and replies with the horizon, the
+version and whether to stop. Any failure, in a worker or in the parent,
+terminates and joins every worker before `train` raises.
 
 Only three things run under the lock: the Adam step over the flat
 parameter buffer, the version bump, and an `np.copyto` of the new global
@@ -30,6 +45,7 @@ once, when `train` starts.
 from __future__ import annotations
 
 import os
+import pickle
 import threading
 import time
 from collections import deque
@@ -43,6 +59,10 @@ from .model import ModelConfig, backward_batch, forward_batch, init_model, sampl
 from .nn import AdamState, ParamSet, adam_step, clip_global_norm
 
 DEFAULT_CLIP_NORM = 40.0
+# OpenBLAS's thread-count setter, by the names it has in numpy 2 wheels,
+# numpy 1 wheels and a system OpenBLAS.
+_BLAS_SET_THREADS = ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
+                     "openblas_set_num_threads")
 
 
 @dataclass
@@ -227,13 +247,19 @@ def train(cfg: TrainConfig, env_factory, metrics_queue=None) -> GlobalStore:
     """Run n_workers asynchronous workers until the episode budget (or an
     early-stop threshold) is exhausted.
 
-    env_factory(worker_id) -> Environment, one private instance per worker.
-    metrics_queue is anything with a put(row) method, such as a
-    queue.Queue: the MetricsRow of each episode within the budget is put to
-    it in episode order, from a worker thread, under the store's lock; None
-    is put once when training ends. Returns the GlobalStore with final
-    parameters.
+    env_factory(worker_id) -> Environment, one private instance per worker,
+    made in the worker. metrics_queue is anything with a put(row) method,
+    such as a queue.Queue: the MetricsRow of each episode within the budget
+    is put to it in episode order, from the calling thread, under the
+    store's lock; None is put once when training ends. With one worker the
+    worker runs in the calling thread; with more, each runs in a forked
+    process and the calling thread serves their updates. Any failure stops
+    every worker and raises RuntimeError("worker failed") from its cause,
+    after the final checkpoint is written. Returns the GlobalStore with
+    final parameters.
     """
+    if cfg.n_workers < 1:
+        raise ValueError(f"n_workers must be at least 1, not {cfg.n_workers}")
     if not cfg.use_tp:  # plain A3C is the objective with lambda_tp == 0
         cfg = replace(cfg, weights=replace(cfg.weights, lambda_tp=0.0))
     if cfg.checkpoint_dir is not None:
@@ -241,74 +267,207 @@ def train(cfg: TrainConfig, env_factory, metrics_queue=None) -> GlobalStore:
     seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.n_workers + 1)
     params = init_model(cfg.model, np.random.default_rng(seeds[0]))
     store = GlobalStore(params, AdamState.for_params(params, lr=cfg.lr), cfg.early_stop_window)
-    stop = threading.Event()
     start_time = time.monotonic()
-    errors: list[BaseException] = []
-
-    def worker(wid: int):
-        try:
-            _worker_loop(wid, cfg, env_factory(wid),
-                         np.random.default_rng(seeds[wid + 1]),
-                         store, stop, metrics_queue, start_time)
-        except BaseException as exc:  # propagate after flushing
-            errors.append(exc)
-            stop.set()
-
-    threads = [threading.Thread(target=worker, args=(w,), daemon=True)
-               for w in range(cfg.n_workers)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    error = None
+    try:
+        if cfg.episode_budget <= 0:
+            pass  # nothing to train, so no worker starts
+        elif cfg.n_workers == 1:
+            local = store.snapshot()
+            book = lambda grads, episode: _apply_and_book(
+                store, cfg, metrics_queue, 0, grads, local, episode)
+            _worker_loop(cfg, env_factory(0), np.random.default_rng(seeds[1]),
+                         local, book, start_time)
+        else:
+            _serve_workers(cfg, env_factory, seeds[1:], store, metrics_queue, start_time)
+    except BaseException as exc:  # propagate after flushing
+        error = exc
     if cfg.checkpoint_dir is not None:
         store.snapshot().save(f"{cfg.checkpoint_dir}/final.ckpt")
     if metrics_queue is not None:
         metrics_queue.put(None)
-    if errors:
-        raise RuntimeError("worker failed") from errors[0]
+    if error is not None:
+        raise RuntimeError("worker failed") from error
     return store
 
 
-def _worker_loop(wid: int, cfg: TrainConfig, env: Environment,
-                 rng: np.random.Generator, store: GlobalStore,
-                 stop: threading.Event, metrics_queue, start_time: float):
-    if cfg.episode_budget <= 0:
-        return
-    local = store.snapshot()
+def _apply_and_book(store: GlobalStore, cfg: TrainConfig, metrics_queue, wid: int,
+                    grads: ParamSet, local: ParamSet, episode):
+    """Apply one worker's update, syncing `local`; when the update ended an
+    episode (episode = (length, reward, mean LossParts, wall time)), book it
+    and write its checkpoint if one is due. Returns (horizon, stop)."""
+    store.apply_and_sync(grads, local)
+    stop = False
+    if episode is not None:
+        index, checkpoint, stop = store.finish_episode(cfg, metrics_queue, wid, *episode)
+        if checkpoint is not None:
+            checkpoint.save(f"{cfg.checkpoint_dir}/ep{index:08d}.ckpt")
+    return store.labeler.horizon, stop
+
+
+def _worker_loop(cfg: TrainConfig, env: Environment, rng: np.random.Generator,
+                 local: ParamSet, book, start_time: float):
+    """One worker: collect a rollout with `local`, compute its clipped
+    gradients, and hand them to book(grads, episode), which applies them,
+    leaves the new parameters in `local`, and returns the horizon for the
+    next update and whether to stop. episode is None, or, when the rollout
+    ended an episode, (length, reward, mean LossParts, wall time)."""
+    horizon = None  # no episode has finished yet
     obs = env.reset(rng)
     episode_step = 0
     episode_reward = 0.0
     acc = LossParts()
     n_updates = 0
-    while not stop.is_set():
+    while True:
         rollout, obs, done = collect_rollout(local, cfg.model, env, obs,
                                              episode_step, rng, cfg.weights.t_max)
         episode_step += len(rollout.actions)
         episode_reward += float(rollout.rewards.sum())
         grads, parts = compute_update(rollout, local, cfg.model, cfg.weights,
-                                      store.labeler.horizon, clip_norm=cfg.clip_norm)
-        store.apply_and_sync(grads, local=local)
+                                      horizon, clip_norm=cfg.clip_norm)
         acc.policy_loss += parts.policy_loss
         acc.value_loss += parts.value_loss
         acc.tp_loss += parts.tp_loss
         acc.entropy += parts.entropy
         n_updates += 1
+        episode = None
         if done:
             losses = LossParts(policy_loss=acc.policy_loss / n_updates,
                                value_loss=acc.value_loss / n_updates,
                                entropy=acc.entropy / n_updates,
                                tp_loss=acc.tp_loss / n_updates)
-            index, checkpoint, done_training = store.finish_episode(
-                cfg, metrics_queue, wid, episode_step, episode_reward, losses,
-                time.monotonic() - start_time)
-            if checkpoint is not None:
-                checkpoint.save(f"{cfg.checkpoint_dir}/ep{index:08d}.ckpt")
-            if done_training:
-                stop.set()
-            if stop.is_set():
-                return
+            episode = (episode_step, episode_reward, losses, time.monotonic() - start_time)
+        horizon, stop = book(grads, episode)
+        if stop:
+            return
+        if done:
             obs = env.reset(rng)
             episode_step = 0
             episode_reward = 0.0
             acc = LossParts()
             n_updates = 0
+
+
+class WorkerError(Exception):
+    """A worker process's exception as the parent receives it: its type
+    name, its formatted traceback, and the exception itself when it pickles
+    (None otherwise)."""
+
+    def __init__(self, type_name: str, traceback: str, exc: BaseException | None = None):
+        super().__init__(type_name, traceback, exc)
+        self.type_name, self.traceback, self.exc = type_name, traceback, exc
+
+    def __str__(self) -> str:
+        return f"{self.type_name} in a worker process:\n{self.traceback}"
+
+
+def _serve_workers(cfg: TrainConfig, env_factory, seeds, store: GlobalStore,
+                   metrics_queue, start_time: float) -> None:
+    """Fork one process per worker and apply their updates until every
+    worker has been told to stop. Each worker owns two anonymous shared
+    buffers, its parameters and its gradients; per update it sends one
+    message (the episode it ended, or None) and gets back (horizon,
+    version, stop). On any failure every worker is terminated and joined
+    before the error propagates."""
+    import mmap
+    import multiprocessing
+    from multiprocessing.connection import wait
+
+    ctx = multiprocessing.get_context("fork")
+    layout, nbytes = store.params.layout, store.params.flat.nbytes
+
+    def shared(version: int) -> ParamSet:
+        flat = np.frombuffer(mmap.mmap(-1, nbytes), dtype=np.float64)
+        return ParamSet._over(flat, layout, version)
+
+    workers = []  # (process, connection, local params, grads)
+    try:
+        for wid in range(cfg.n_workers):
+            local, grads = shared(store.version), shared(0)
+            np.copyto(local.flat, store.params.flat)
+            conn, child_conn = ctx.Pipe()
+            proc = ctx.Process(target=_worker_process, daemon=True, args=(
+                wid, cfg, env_factory, seeds[wid], local, grads, child_conn, start_time))
+            proc.start()
+            child_conn.close()  # the worker's exit then reads as EOF here
+            workers.append((proc, conn, local, grads))
+        live = {conn: wid for wid, (_, conn, _, _) in enumerate(workers)}
+        stop = False
+        while live:
+            for conn in wait(list(live)):
+                wid = live[conn]
+                proc, _, local, grads = workers[wid]
+                try:
+                    msg = conn.recv()
+                except EOFError:
+                    proc.join()
+                    raise ChildProcessError(f"worker {wid} exited with code {proc.exitcode} "
+                                            "without a message") from None
+                if isinstance(msg, WorkerError):
+                    if msg.exc is None:
+                        raise msg
+                    raise msg.exc from msg
+                horizon, stop_now = _apply_and_book(store, cfg, metrics_queue, wid,
+                                                    grads, local, msg)
+                stop = stop or stop_now
+                conn.send((horizon, local.version, stop))
+                if stop:
+                    del live[conn]
+        for proc, *_ in workers:  # let told workers exit before `finally` kills stragglers
+            proc.join()
+    finally:
+        for proc, *_ in workers:
+            if proc.is_alive():
+                proc.terminate()
+        for proc, conn, *_ in workers:
+            proc.join()
+            conn.close()
+
+
+def _worker_process(wid: int, cfg: TrainConfig, env_factory, seed, local: ParamSet,
+                    grads_out: ParamSet, conn, start_time: float) -> None:
+    """Body of a forked worker: `local` and `grads_out` are its shared
+    buffers, and conn its end of the pipe to the parent."""
+    try:
+        _pin_blas_to_one_thread()
+
+        def book(grads, episode):
+            np.copyto(grads_out.flat, grads.flat)
+            conn.send(episode)
+            horizon, local.version, stop = conn.recv()
+            return horizon, stop
+
+        _worker_loop(cfg, env_factory(wid), np.random.default_rng(seed), local, book, start_time)
+    except BaseException as exc:
+        import traceback
+        try:
+            pickle.loads(pickle.dumps(exc))
+            sent = exc
+        except Exception:
+            sent = None
+        conn.send(WorkerError(type(exc).__qualname__,
+                              "".join(traceback.format_exception(exc)), sent))
+
+
+def _pin_blas_to_one_thread() -> None:
+    """Limit the OpenBLAS that numpy has loaded to one thread, through its
+    set_num_threads symbol, so that workers do not oversubscribe the cores.
+    The library is found in /proc/self/maps; without it, nothing happens."""
+    import ctypes
+    try:
+        with open("/proc/self/maps") as f:
+            entries = [line.split(None, 5) for line in f]
+    except OSError:
+        return
+    paths = {e[5].strip() for e in entries if len(e) == 6 and "openblas" in e[5]}
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in _BLAS_SET_THREADS:
+            setter = getattr(lib, name, None)
+            if setter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                setter(1)
+                return

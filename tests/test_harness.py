@@ -3,12 +3,16 @@ column, sweeps, summaries, checkpoint evaluation, and the command line front
 end."""
 
 import csv
+import dataclasses
 import os
 import re
+import string
 import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from a3ctp import harness
 from a3ctp.cli import main as cli_main
@@ -35,6 +39,18 @@ def small_config(tmp_path, **kw):
     return RunConfig(**defaults)
 
 
+# A failing environment for the worker-failure test. Both classes live at
+# module level: a worker process's exception reaches the test only if it
+# pickles, and a class defined inside a function does not.
+class EnvError(Exception):
+    pass
+
+
+class Broken(GridGoal):
+    def step(self, action, rng):
+        raise EnvError("boom")
+
+
 class TestRunConfig:
     def test_roundtrip_through_file(self, tmp_path):
         cfg = RunConfig(env="polebalance", lambda_tp=0.75, workers=3,
@@ -58,6 +74,43 @@ class TestRunConfig:
     def test_hidden_sizes_parse(self):
         assert RunConfig(hidden="128,128").hidden_sizes() == (128, 128)
         assert RunConfig(hidden="64").hidden_sizes() == (64,)
+
+    def test_fewer_than_one_worker_rejected(self):
+        with pytest.raises(ValueError, match="workers"):
+            RunConfig(workers=0)
+        with pytest.raises(ValueError, match="workers"):
+            RunConfig(workers=-2)
+
+    @pytest.mark.parametrize("text, problem", [
+        ("workers=2\nworkerz=3\n", "line 2 .*unknown key 'workerz'"),
+        ("workers=2\nseed=1\nworkers=5\n", "line 3 .*repeated key 'workers'"),
+        ("# comment\n\nworkers 2\n", "line 3 .*not a key=value line"),
+        ("workers=two\n", "line 1 .*invalid literal"),
+    ], ids=["unknown-key", "repeated-key", "no-equals", "bad-int"])
+    def test_load_rejects_with_the_line(self, tmp_path, text, problem):
+        path = tmp_path / "config.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=problem):
+            RunConfig.load(path)
+
+    def test_load_keeps_defaults_and_skips_comments(self, tmp_path):
+        path = tmp_path / "config.txt"
+        path.write_text("# a run\n\nout_dir=a=b\nworkers=3\n")
+        assert RunConfig.load(path) == RunConfig(workers=3, out_dir="a=b")
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_save_load_roundtrip_of_random_configs(self, tmp_path_factory, data):
+        text = st.text(alphabet=string.ascii_letters + string.digits + " _-./,=#",
+                       max_size=12).filter(lambda v: v == v.strip())
+        kinds = {"int": st.integers(-10**12, 10**12),
+                 "float": st.floats(allow_nan=False), "str": text}
+        valid = {"algorithm": st.sampled_from(harness.ALGORITHMS), "workers": st.integers(1, 64)}
+        cfg = RunConfig(**{f.name: data.draw(valid.get(f.name, kinds[f.type]), label=f.name)
+                           for f in dataclasses.fields(RunConfig)})
+        path = tmp_path_factory.mktemp("cfg") / "config.txt"
+        cfg.save(path)
+        assert RunConfig.load(path) == cfg
 
 
 class TestRunExperiment:
@@ -101,13 +154,6 @@ class TestRunExperiment:
         assert b1 == b2
 
     def test_worker_failure_names_the_run_and_leaves_no_thread(self, tmp_path, monkeypatch):
-        class EnvError(Exception):
-            pass
-
-        class Broken(GridGoal):
-            def step(self, action, rng):
-                raise EnvError("boom")
-
         monkeypatch.setattr(harness, "make_env", lambda name, size, **kw: Broken(size, **kw))
         threads_before = threading.active_count()
         cfg = small_config(tmp_path)
@@ -122,6 +168,18 @@ class TestRunExperiment:
         with open(os.path.join(cfg.out_dir, "metrics.csv"), newline="") as f:
             assert [tuple(r) for r in csv.reader(f)] == [METRICS_COLUMNS]
         assert threading.active_count() == threads_before
+
+    def test_two_workers_write_each_episode_once(self, tmp_path):
+        # The files' first lines are still in the parent's buffers when the
+        # workers fork; a child that flushed them would duplicate them.
+        run_dir = run_experiment(small_config(tmp_path, workers=2, episode_budget=30))
+        for name, header in (("metrics.csv", ",".join(METRICS_COLUMNS)),
+                             ("timing.csv", "episode,wall_time_s")):
+            with open(os.path.join(run_dir, name)) as f:
+                lines = f.read().splitlines()
+            assert lines[0] == header
+            column = 1 if name == "metrics.csv" else 0
+            assert [int(line.split(",")[column]) for line in lines[1:]] == list(range(1, 31))
 
     def test_a3c_run_reports_zero_tp_loss(self, tmp_path):
         run_dir = run_experiment(small_config(tmp_path, algorithm="a3c"))

@@ -1,7 +1,11 @@
 """Trainer tests: rollout collection, gradient updates, the shared
 parameter store, and end-to-end determinism of single-worker training."""
 
+import contextlib
+import multiprocessing
+import os
 import queue
+import signal
 import sys
 import threading
 
@@ -16,6 +20,37 @@ from a3ctp.nn import AdamState, ParamSet
 from a3ctp.trainer import (
     GlobalStore, Rollout, TrainConfig, collect_rollout, compute_update, train,
 )
+
+
+class ExitingGrid(GridGoal):
+    """Ends its process without a word, as a crashed worker would."""
+
+    def step(self, action, rng):
+        os._exit(3)
+
+
+class StepError(Exception):
+    pass
+
+
+class RaisingGrid(GridGoal):
+    def step(self, action, rng):
+        raise StepError("kaboom")
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Raise TimeoutError in the main thread if the block runs too long."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
 
 
 def tiny_model(obs_dim=16, n_actions=4, hidden=(8,)):
@@ -309,3 +344,94 @@ class TestLock:
         assert store.params.equal_bits(serial.params)
         assert store.optimizer.m.equal_bits(serial.optimizer.m)
         assert store.optimizer.v.equal_bits(serial.optimizer.v)
+
+
+class TestProcesses:
+    """workers > 1: one forked process per worker, served by the caller."""
+
+    def _config(self, **kw):
+        defaults = dict(model=ModelConfig(16, 4, (8,)), n_workers=2, seed=3,
+                        episode_budget=10**6)
+        defaults.update(kw)
+        return TrainConfig(**defaults)
+
+    def test_exactly_n_workers_start_and_none_outlives_train(self, monkeypatch):
+        fork = multiprocessing.get_context("fork").Process
+        starts = []
+        real_start = fork.start
+
+        def counting_start(proc):
+            starts.append(proc)
+            real_start(proc)
+
+        monkeypatch.setattr(fork, "start", counting_start)
+        q = queue.Queue()
+        with deadline(120):
+            store = train(self._config(n_workers=4, episode_budget=30),
+                          lambda wid: GridGoal(4, max_steps=20), metrics_queue=q)
+        assert len(starts) == 4 and multiprocessing.active_children() == []
+        assert store.version >= 30 and store.episode_count >= 30
+        rows = []
+        while (row := q.get()) is not None:
+            rows.append(row)
+        assert [r.episode for r in rows] == list(range(1, 31))
+        assert {r.worker_id for r in rows} <= {0, 1, 2, 3}
+
+        with deadline(120), pytest.raises(RuntimeError, match="worker failed"):
+            train(self._config(n_workers=4),
+                  lambda wid: RaisingGrid(4, max_steps=20) if wid == 2 else GridGoal(4))
+        assert len(starts) == 8 and multiprocessing.active_children() == []
+
+    def test_fewer_than_one_worker_rejected_before_any_start(self, monkeypatch):
+        fork = multiprocessing.get_context("fork").Process
+        monkeypatch.setattr(fork, "start", lambda proc: pytest.fail("a process started"))
+        for n in (0, -1):
+            with pytest.raises(ValueError, match="n_workers"):
+                train(self._config(n_workers=n), lambda wid: GridGoal(4))
+
+    def test_worker_that_exits_is_named_with_its_exit_code(self):
+        with deadline(60), pytest.raises(RuntimeError, match="worker failed") as info:
+            train(self._config(),
+                  lambda wid: ExitingGrid(4, max_steps=20) if wid == 1 else GridGoal(4))
+        cause = info.value.__cause__
+        assert isinstance(cause, ChildProcessError), cause
+        assert "worker 1 " in str(cause) and "code 3 " in str(cause)
+        assert multiprocessing.active_children() == []
+
+    def test_exception_arrives_with_its_type_and_the_worker_traceback(self):
+        with deadline(60), pytest.raises(RuntimeError, match="worker failed") as info:
+            train(self._config(), lambda wid: RaisingGrid(4, max_steps=20))
+        cause = info.value.__cause__
+        assert isinstance(cause, StepError) and str(cause) == "kaboom"
+        remote = cause.__cause__
+        assert isinstance(remote, trainer.WorkerError) and remote.type_name == "StepError"
+        assert "in step" in remote.traceback and "kaboom" in remote.traceback
+
+    def test_unpicklable_exception_arrives_as_type_name_and_traceback(self):
+        class LocalError(Exception):  # a class local to a function does not pickle
+            pass
+
+        class Raising(GridGoal):
+            def step(self, action, rng):
+                raise LocalError("no pickle")
+
+        with deadline(60), pytest.raises(RuntimeError, match="worker failed") as info:
+            train(self._config(), lambda wid: Raising(4, max_steps=20))
+        cause = info.value.__cause__
+        assert isinstance(cause, trainer.WorkerError) and cause.exc is None
+        assert cause.type_name.endswith("<locals>.LocalError")
+        assert "LocalError: no pickle" in cause.traceback and "in step" in cause.traceback
+        assert "LocalError" in str(cause)
+        assert multiprocessing.active_children() == []
+
+    def test_error_in_the_parent_stops_every_worker(self):
+        class FailingQueue:
+            def put(self, row):
+                if row is not None and row.episode == 3:
+                    raise OSError("disk full")
+
+        with deadline(60), pytest.raises(RuntimeError, match="worker failed") as info:
+            train(self._config(), lambda wid: GridGoal(4, max_steps=20),
+                  metrics_queue=FailingQueue())
+        assert isinstance(info.value.__cause__, OSError)
+        assert multiprocessing.active_children() == []
