@@ -5,12 +5,12 @@ episodic simulators, and an experiment harness."""
 from .losses import LossWeights, TPLabeler
 from .model import ModelConfig, ModelOutput, init_model, model_forward
 from .nn import AdamState, ParamSet, adam_step, gradient_check
-from .trainer import GlobalStore, Rollout, TrainConfig, train
+from .trainer import GlobalStore, Rollout, train
 from .harness import RunConfig, run_experiment, evaluate, summarize, sweep_lambda_tp
 
 __all__ = [
     "LossWeights", "TPLabeler", "ModelConfig", "ModelOutput", "init_model",
     "model_forward", "AdamState", "ParamSet", "adam_step", "gradient_check",
-    "GlobalStore", "Rollout", "TrainConfig", "train", "RunConfig",
+    "GlobalStore", "Rollout", "train", "RunConfig",
     "run_experiment", "evaluate", "summarize", "sweep_lambda_tp",
 ]

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import fields
 
 from .harness import (
     RunConfig, evaluate, run_experiment, summarize, summary_table, sweep_lambda_tp,
@@ -17,15 +16,13 @@ from .harness import (
 
 def _add_config_args(p: argparse.ArgumentParser) -> None:
     defaults = RunConfig()
-    for fld in fields(RunConfig):
-        kind = {"int": int, "float": float}.get(fld.type, str)
-        p.add_argument(f"--{fld.name.replace('_', '-')}", type=kind,
-                       default=getattr(defaults, fld.name), dest=fld.name)
+    for name, parse in RunConfig.parsers().items():
+        p.add_argument(f"--{name.replace('_', '-')}", type=parse,
+                       default=getattr(defaults, name), dest=name)
 
 
 def _config_from_args(args) -> RunConfig:
-    kwargs = {f.name: getattr(args, f.name) for f in fields(RunConfig)}
-    return RunConfig(**kwargs)
+    return RunConfig(**{name: getattr(args, name) for name in RunConfig.parsers()})
 
 
 def main(argv=None) -> int:

@@ -11,16 +11,18 @@ A run directory is self-describing:
     checkpoints/    parameter checkpoints, final.ckpt always present
     replays/        evaluation episode replays (bomberman only)
 
-`run_experiment` calls `train` in the calling thread and hands it a writer
-in place of a queue: the trainer books each episode once, and the writer
-turns its row into one line of each csv file as it is booked.
+`RunConfig`, the one description of a run, lives in `trainer` and is
+imported here. `run_experiment` saves it as config.txt, calls `train` with
+it in the calling thread, and hands it a writer as `on_episode`: the
+trainer books each episode once, and the writer turns its row into one
+line of each csv file as it is booked.
 """
 
 from __future__ import annotations
 
 import csv
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -28,88 +30,10 @@ from .envs import make_env
 from .envs.minibomber.board import classify_outcome
 from .envs.minibomber.env import MiniBomber
 from .envs.minibomber.replay import save_replay
-from .losses import LossWeights
 from .model import ModelConfig, forward_batch, sample_action
 from .nn import ParamSet
-from .trainer import METRICS_COLUMNS, MetricsRow, TrainConfig, train
-
-ALGORITHMS = ("a3c", "a3c-tp")
-
-
-@dataclass
-class RunConfig:
-    env: str = "gridgoal"
-    env_size: int = 8
-    env_max_steps: int = 0        # 0 = environment default
-    algorithm: str = "a3c-tp"
-    lambda_v: float = 0.5
-    lambda_pi: float = 1.0
-    lambda_h: float = 0.01
-    lambda_tp: float = 0.5
-    gamma: float = 0.99
-    t_max: int = 20
-    hidden: str = "128,128"
-    workers: int = 8
-    seed: int = 0
-    episode_budget: int = 1000
-    checkpoint_cadence: int = 0
-    lr: float = 1e-4
-    clip_norm: float = 40.0
-    moving_window: int = 100
-    early_stop_reward: float = float("nan")  # nan = disabled
-    out_dir: str = "runs/run"
-
-    def __post_init__(self):
-        if self.algorithm not in ALGORITHMS:
-            raise ValueError(f"algorithm must be one of {ALGORITHMS}")
-        if self.workers < 1:
-            raise ValueError(f"workers must be at least 1, not {self.workers}")
-
-    def weights(self) -> LossWeights:
-        return LossWeights(self.lambda_v, self.lambda_pi, self.lambda_h,
-                           self.lambda_tp, self.gamma, self.t_max)
-
-    def hidden_sizes(self) -> tuple[int, ...]:
-        return tuple(int(x) for x in self.hidden.split(",") if x)
-
-    def env_kwargs(self) -> dict:
-        kw = {"size": self.env_size}
-        if self.env_max_steps > 0:
-            kw["max_steps"] = self.env_max_steps
-        return kw
-
-    def save(self, path) -> None:
-        with open(path, "w") as f:
-            for fld in fields(self):
-                f.write(f"{fld.name}={getattr(self, fld.name)}\n")
-
-    @classmethod
-    def load(cls, path) -> "RunConfig":
-        """Read a file written by `save`: key=value lines, where blank lines
-        and lines starting with '#' are skipped and a missing key keeps its
-        default. Raises ValueError, naming the line, for a line without '=',
-        an unknown key, a repeated key or a value of the wrong type."""
-        kwargs = {}
-        types = {f.name: f.type for f in fields(cls)}
-        with open(path) as f:
-            for lineno, line in enumerate(f, 1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                key, eq, value = line.partition("=")
-                where = f"{path}, line {lineno} ({line!r})"
-                if not eq:
-                    raise ValueError(f"{where}: not a key=value line")
-                if key not in types:
-                    raise ValueError(f"{where}: unknown key {key!r}")
-                if key in kwargs:
-                    raise ValueError(f"{where}: repeated key {key!r}")
-                parse = {"int": int, "float": float}.get(types[key], str)
-                try:
-                    kwargs[key] = parse(value)
-                except ValueError as exc:
-                    raise ValueError(f"{where}: {exc}") from None
-        return cls(**kwargs)
+# ALGORITHMS and RunConfig live in trainer and keep their harness names.
+from .trainer import ALGORITHMS, METRICS_COLUMNS, MetricsRow, RunConfig, train
 
 
 def _format(x) -> str:
@@ -124,44 +48,23 @@ def run_experiment(config: RunConfig) -> str:
     ckpt_dir = os.path.join(run_dir, "checkpoints")
     os.makedirs(ckpt_dir, exist_ok=True)
     config.save(os.path.join(run_dir, "config.txt"))
-
-    probe = make_env(config.env, **config.env_kwargs())
-    spec = probe.spec()
-    model_cfg = ModelConfig(spec.obs_dim, spec.n_actions, config.hidden_sizes())
-    early = None if np.isnan(config.early_stop_reward) else config.early_stop_reward
-    tc = TrainConfig(
-        model=model_cfg, weights=config.weights(), n_workers=config.workers,
-        seed=config.seed, episode_budget=config.episode_budget,
-        use_tp=(config.algorithm == "a3c-tp"), clip_norm=config.clip_norm,
-        checkpoint_dir=ckpt_dir, checkpoint_cadence=config.checkpoint_cadence,
-        early_stop_reward=early, early_stop_window=config.moving_window,
-        lr=config.lr,
-    )
     env_factory = lambda wid: make_env(config.env, **config.env_kwargs())
 
     with open(os.path.join(run_dir, "metrics.csv"), "w", newline="") as mf, \
             open(os.path.join(run_dir, "timing.csv"), "w", newline="") as tf:
-        writer = _RunFiles(csv.writer(mf), csv.writer(tf))
-        try:
-            train(tc, env_factory, metrics_queue=writer)
-        except Exception as exc:
-            raise RuntimeError(f"training failed in {run_dir}") from exc
-    return run_dir
-
-
-class _RunFiles:
-    """The metrics queue `train` puts rows to: each row is one line of
-    metrics.csv and one of timing.csv; the final None is ignored."""
-
-    def __init__(self, metrics, timing):
-        self.metrics, self.timing = metrics, timing
+        metrics, timing = csv.writer(mf), csv.writer(tf)
         metrics.writerow(METRICS_COLUMNS)
         timing.writerow(("episode", "wall_time_s"))
 
-    def put(self, row: MetricsRow | None) -> None:
-        if row is not None:
-            self.metrics.writerow([_format(getattr(row, c)) for c in METRICS_COLUMNS])
-            self.timing.writerow([row.episode, f"{row.wall_time:.3f}"])
+        def write(row: MetricsRow) -> None:
+            metrics.writerow([_format(getattr(row, c)) for c in METRICS_COLUMNS])
+            timing.writerow([row.episode, f"{row.wall_time:.3f}"])
+
+        try:
+            train(config, env_factory, on_episode=write, checkpoint_dir=ckpt_dir)
+        except Exception as exc:
+            raise RuntimeError(f"training failed in {run_dir}") from exc
+    return run_dir
 
 
 def sweep_lambda_tp(base: RunConfig, values, seeds) -> list[str]:
@@ -172,17 +75,16 @@ def sweep_lambda_tp(base: RunConfig, values, seeds) -> list[str]:
         raise ValueError("sweep needs at least one value")
     if len(set(values)) != len(values):
         raise ValueError("duplicate lambda_tp values in sweep")
+    configs = [replace(base, lambda_tp=v, seed=s, algorithm="a3c-tp",
+                       out_dir=os.path.join(base.out_dir, f"tp{v:g}_seed{s}"))
+               for v in values for s in seeds]  # a rejected value raises before any run
     run_dirs = []
     failures = []
-    for v in values:
-        for s in seeds:
-            cfg = replace(base, lambda_tp=v, seed=s, algorithm="a3c-tp",
-                          out_dir=os.path.join(base.out_dir,
-                                               f"tp{v:g}_seed{s}"))
-            try:
-                run_dirs.append(run_experiment(cfg))
-            except Exception as exc:
-                failures.append((cfg.out_dir, exc))
+    for cfg in configs:
+        try:
+            run_dirs.append(run_experiment(cfg))
+        except Exception as exc:
+            failures.append((cfg.out_dir, exc))
     if failures:
         detail = "; ".join(f"{d}: {e}" for d, e in failures)
         raise RuntimeError(f"sweep had partial failures: {detail}")
@@ -232,16 +134,14 @@ def summarize(run_dirs, threshold: float) -> list[GroupSummary]:
     """
     if not run_dirs:
         raise ValueError("need at least one run directory")
-    groups: dict[tuple, list[str]] = {}
+    groups: dict[tuple, list[tuple[str, RunConfig]]] = {}
     for d in run_dirs:
         cfg = RunConfig.load(os.path.join(d, "config.txt"))
-        lam = cfg.lambda_tp if cfg.algorithm == "a3c-tp" else 0.0
-        groups.setdefault((cfg.env, cfg.algorithm, lam), []).append(d)
+        groups.setdefault((cfg.env, cfg.algorithm, cfg.weights().lambda_tp), []).append((d, cfg))
     summaries = []
-    for (env, algo, lam), dirs in sorted(groups.items()):
+    for (env, algo, lam), runs in sorted(groups.items()):
         finals, etts, censored = [], [], []
-        for d in sorted(dirs):
-            cfg = RunConfig.load(os.path.join(d, "config.txt"))
+        for d, cfg in sorted(runs, key=lambda run: run[0]):
             m = read_metrics(d)
             if m["episode"].size == 0:
                 raise ValueError(f"run {d} has no completed episodes")
@@ -257,7 +157,7 @@ def summarize(run_dirs, threshold: float) -> list[GroupSummary]:
                 censored.append(True)
         finals = np.array(finals)
         summaries.append(GroupSummary(
-            env=env, algorithm=algo, lambda_tp=lam, n_runs=len(dirs),
+            env=env, algorithm=algo, lambda_tp=lam, n_runs=len(runs),
             final_ma_mean=float(finals.mean()),
             final_ma_std=float(np.sqrt(np.mean((finals - finals.mean()) ** 2))),
             episodes_to_threshold=etts, threshold=threshold, censored=censored,

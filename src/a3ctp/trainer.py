@@ -8,7 +8,7 @@ them to the global network under a single writer lock, and reads the
 updated global parameters back into its local copy.
 
 Where workers run: with one worker, the worker loop runs in the calling
-thread. With more, `train` forks exactly n_workers processes (this needs
+thread. With more, `train` forks exactly `workers` processes (this needs
 the POSIX `fork` start method), and the calling process keeps the
 `GlobalStore` and serves them: Adam, the lock, the episode ledger, the
 metrics rows and every checkpoint stay in that one process. Each worker
@@ -16,10 +16,10 @@ runs `collect_rollout` and `compute_update`, with OpenBLAS pinned to one
 thread, over two anonymous shared-memory buffers made before the fork: its
 parameters and its gradients. Per update it copies its clipped gradients
 into its buffer and sends one message, which carries the finished
-episode's length, reward, mean losses and wall time when the update ended
-one. The parent applies the update, which writes the new parameters into
-the worker's buffer, books the episode, and replies with the horizon, the
-version and whether to stop. Any failure, in a worker or in the parent,
+episode's length, reward and mean losses when the update ended one. The
+parent applies the update, which writes the new parameters into the
+worker's buffer, books the episode with its wall time, and replies with
+the horizon, the version and whether to stop. Any failure, in a worker or in the parent,
 terminates and joins every worker before `train` raises.
 
 Only three things run under the lock: the Adam step over the flat
@@ -33,13 +33,16 @@ the same lock: its length goes to the one TPLabeler (so terminal-prediction
 targets are computable at rollout time, before an episode finishes), it
 takes the next episode index, and its reward joins the one trailing window
 that both the `moving_avg_reward` column and early stopping read. Within
-the episode budget it also puts the episode's MetricsRow to the caller's
-metrics queue, so rows arrive in index order, and copies the parameters
+the episode budget it also hands the episode's MetricsRow to the caller's
+`on_episode`, so rows arrive in index order, and copies the parameters
 when a periodic checkpoint is due; the file is written after the lock is
-released. The trainer computes the loss parts nowhere itself:
-`losses.loss_parts` does, and it alone switches the terminal-prediction
-term. A config that asks for plain A3C is turned into `lambda_tp = 0`
-once, when `train` starts.
+released.
+
+A run is described by one `RunConfig`, which `train` reads directly. The
+trainer computes the loss parts nowhere itself: `losses.loss_parts` does,
+and it alone switches the terminal-prediction term. Plain A3C is decided
+once, by `RunConfig.weights`, which gives it `lambda_tp = 0`; `train`
+builds those weights once and hands them to the workers.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ import pickle
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -83,22 +86,6 @@ class Rollout:
 
 
 @dataclass
-class TrainConfig:
-    model: ModelConfig
-    weights: LossWeights = field(default_factory=LossWeights)
-    n_workers: int = 8
-    seed: int = 0
-    episode_budget: int = 1000
-    use_tp: bool = True
-    clip_norm: float = DEFAULT_CLIP_NORM
-    checkpoint_dir: str | None = None
-    checkpoint_cadence: int = 0       # episodes between checkpoints; 0 = only final
-    early_stop_reward: float | None = None  # stop once MA(window) reaches this
-    early_stop_window: int = 100
-    lr: float = 1e-4
-
-
-@dataclass
 class MetricsRow:
     """One completed episode, as streamed to the harness."""
     worker_id: int
@@ -117,6 +104,100 @@ class MetricsRow:
 # The metrics.csv columns: every MetricsRow field but the wall time, which
 # is not reproducible and goes to its own sidecar.
 METRICS_COLUMNS = tuple(f.name for f in fields(MetricsRow) if f.name != "wall_time")
+
+ALGORITHMS = ("a3c", "a3c-tp")
+
+
+@dataclass
+class RunConfig:
+    """Everything one training run is made of; `config.txt` holds one line
+    per field. Rejects, with ValueError, an unknown algorithm, fewer than
+    one worker, a moving window shorter than one episode, and any loss
+    weight LossWeights rejects."""
+    env: str = "gridgoal"
+    env_size: int = 8
+    env_max_steps: int = 0        # 0 = environment default
+    algorithm: str = "a3c-tp"
+    lambda_v: float = 0.5
+    lambda_pi: float = 1.0
+    lambda_h: float = 0.01
+    lambda_tp: float = 0.5
+    gamma: float = 0.99
+    t_max: int = 20
+    hidden: str = "128,128"
+    workers: int = 8
+    seed: int = 0
+    episode_budget: int = 1000
+    checkpoint_cadence: int = 0   # episodes between checkpoints; 0 = only final
+    lr: float = 1e-4
+    clip_norm: float = DEFAULT_CLIP_NORM
+    moving_window: int = 100      # trailing episodes of moving_avg_reward and early stop
+    early_stop_reward: float = float("nan")  # full-window mean that stops training; nan = never
+    out_dir: str = "runs/run"
+
+    def __post_init__(self):
+        if self.algorithm not in ALGORITHMS:
+            raise ValueError(f"algorithm must be one of {ALGORITHMS}")
+        if self.workers < 1:
+            raise ValueError(f"workers must be at least 1, not {self.workers}")
+        if self.moving_window < 1:
+            raise ValueError(f"moving_window must be at least 1, not {self.moving_window}")
+        self.weights()
+
+    def weights(self) -> LossWeights:
+        """The loss weights. Plain A3C is the objective with lambda_tp = 0;
+        the configured lambda_tp is validated either way."""
+        w = LossWeights(self.lambda_v, self.lambda_pi, self.lambda_h,
+                        self.lambda_tp, self.gamma, self.t_max)
+        return w if self.algorithm == "a3c-tp" else replace(w, lambda_tp=0.0)
+
+    def hidden_sizes(self) -> tuple[int, ...]:
+        return tuple(int(x) for x in self.hidden.split(",") if x)
+
+    def env_kwargs(self) -> dict:
+        kw = {"size": self.env_size}
+        if self.env_max_steps > 0:
+            kw["max_steps"] = self.env_max_steps
+        return kw
+
+    @classmethod
+    def parsers(cls) -> dict:
+        """Field name -> the function that parses its value from text (int,
+        float or str, by the field's annotation): for `load` and the CLI."""
+        return {f.name: {"int": int, "float": float}.get(f.type, str) for f in fields(cls)}
+
+    def save(self, path) -> None:
+        with open(path, "w") as f:
+            for fld in fields(self):
+                f.write(f"{fld.name}={getattr(self, fld.name)}\n")
+
+    @classmethod
+    def load(cls, path) -> "RunConfig":
+        """Read a file written by `save`: key=value lines, where blank lines
+        and lines starting with '#' are skipped and a missing key keeps its
+        default. Raises ValueError, naming the line, for a line without '=',
+        an unknown key, a repeated key or a value of the wrong type, and
+        ValueError for any value RunConfig rejects."""
+        kwargs = {}
+        parsers = cls.parsers()
+        with open(path) as f:
+            for lineno, line in enumerate(f, 1):
+                line = line.strip()
+                if not line or line.startswith("#"):
+                    continue
+                key, eq, value = line.partition("=")
+                where = f"{path}, line {lineno} ({line!r})"
+                if not eq:
+                    raise ValueError(f"{where}: not a key=value line")
+                if key not in parsers:
+                    raise ValueError(f"{where}: unknown key {key!r}")
+                if key in kwargs:
+                    raise ValueError(f"{where}: repeated key {key!r}")
+                try:
+                    kwargs[key] = parsers[key](value)
+                except ValueError as exc:
+                    raise ValueError(f"{where}: {exc}") from None
+        return cls(**kwargs)
 
 
 class GlobalStore:
@@ -154,14 +235,16 @@ class GlobalStore:
             local.version = self.params.version
         return local
 
-    def finish_episode(self, cfg: TrainConfig, metrics_queue, worker_id: int, length: int,
-                       reward: float, losses: LossParts, wall_time: float):
+    def finish_episode(self, cfg: RunConfig, on_episode, worker_id: int, length: int,
+                       reward: float, losses: LossParts, wall_time: float,
+                       checkpoint_dir: str | None = None):
         """Book one finished episode, all under the lock: record its length in
         the labeler, take the next index, and append its reward to the
-        trailing window. Within the budget, put its MetricsRow to
-        metrics_queue (when given) and copy the params when a checkpoint is
-        due. Returns (index, params copy or None, whether to stop): stop once
-        the budget is reached or a full window's mean reaches the target."""
+        trailing window. Within the budget, hand its MetricsRow to
+        on_episode (when given) and, with a checkpoint_dir, copy the params
+        when a checkpoint is due. Returns (index, params copy or None,
+        whether to stop): stop once the budget is reached or a full
+        window's mean reaches cfg.early_stop_reward (never, when it is nan)."""
         with self._lock:
             self.labeler.record_episode(length)
             self.episode_count += 1
@@ -170,17 +253,16 @@ class GlobalStore:
             mean = sum(self.rewards) / len(self.rewards)
             checkpoint = None
             if index <= cfg.episode_budget:
-                if metrics_queue is not None:
-                    metrics_queue.put(MetricsRow(
+                if on_episode is not None:
+                    on_episode(MetricsRow(
                         worker_id, index, length, reward, self.labeler.horizon,
                         losses.policy_loss, losses.value_loss, losses.tp_loss,
                         losses.entropy, mean, wall_time))
-                if (cfg.checkpoint_dir is not None and cfg.checkpoint_cadence > 0
+                if (checkpoint_dir is not None and cfg.checkpoint_cadence > 0
                         and index % cfg.checkpoint_cadence == 0):
                     checkpoint = self.params.copy()
             full = len(self.rewards) == self.rewards.maxlen
-            stop = index >= cfg.episode_budget or (
-                cfg.early_stop_reward is not None and full and mean >= cfg.early_stop_reward)
+            stop = index >= cfg.episode_budget or (full and mean >= cfg.early_stop_reward)
             return index, checkpoint, stop
 
 
@@ -243,75 +325,75 @@ def compute_update(rollout: Rollout, params: ParamSet, cfg: ModelConfig,
     return grads, parts
 
 
-def train(cfg: TrainConfig, env_factory, metrics_queue=None) -> GlobalStore:
-    """Run n_workers asynchronous workers until the episode budget (or an
-    early-stop threshold) is exhausted.
+def train(cfg: RunConfig, env_factory, on_episode=None,
+          checkpoint_dir: str | None = None) -> GlobalStore:
+    """Run cfg.workers asynchronous workers until the episode budget (or
+    the early-stop target) is reached.
 
     env_factory(worker_id) -> Environment, one private instance per worker,
-    made in the worker. metrics_queue is anything with a put(row) method,
-    such as a queue.Queue: the MetricsRow of each episode within the budget
-    is put to it in episode order, from the calling thread, under the
-    store's lock; None is put once when training ends. With one worker the
-    worker runs in the calling thread; with more, each runs in a forked
-    process and the calling thread serves their updates. Any failure stops
-    every worker and raises RuntimeError("worker failed") from its cause,
-    after the final checkpoint is written. Returns the GlobalStore with
-    final parameters.
+    made in the worker; the network's input and output sizes come from
+    env_factory(0).spec(), its hidden widths from cfg.hidden. The cfg.env
+    fields are not read here. on_episode(row), when given, is called with
+    the MetricsRow of each episode within the budget, in episode order,
+    from the calling thread, under the store's lock. With a checkpoint_dir,
+    a checkpoint is written every cfg.checkpoint_cadence episodes and
+    final.ckpt at the end. With one worker the worker runs in the calling
+    thread; with more, each runs in a forked process and the calling
+    thread serves their updates. Any failure stops every worker and raises
+    RuntimeError("worker failed") from its cause, after the final
+    checkpoint is written. Returns the GlobalStore with final parameters.
     """
-    if cfg.n_workers < 1:
-        raise ValueError(f"n_workers must be at least 1, not {cfg.n_workers}")
-    if not cfg.use_tp:  # plain A3C is the objective with lambda_tp == 0
-        cfg = replace(cfg, weights=replace(cfg.weights, lambda_tp=0.0))
-    if cfg.checkpoint_dir is not None:
-        os.makedirs(cfg.checkpoint_dir, exist_ok=True)
-    seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.n_workers + 1)
-    params = init_model(cfg.model, np.random.default_rng(seeds[0]))
-    store = GlobalStore(params, AdamState.for_params(params, lr=cfg.lr), cfg.early_stop_window)
+    env0 = env_factory(0)
+    spec = env0.spec()
+    model = ModelConfig(spec.obs_dim, spec.n_actions, cfg.hidden_sizes())
+    weights = cfg.weights()
+    if checkpoint_dir is not None:
+        os.makedirs(checkpoint_dir, exist_ok=True)
+    seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.workers + 1)
+    params = init_model(model, np.random.default_rng(seeds[0]))
+    store = GlobalStore(params, AdamState.for_params(params, lr=cfg.lr), cfg.moving_window)
     start_time = time.monotonic()
+
+    def book(wid: int, grads: ParamSet, local: ParamSet, episode):
+        """Apply one worker's update, syncing `local`; when the update ended
+        an episode (episode = (length, reward, mean LossParts)), book it
+        with its wall time and write its checkpoint if one is due. Returns
+        (horizon, stop)."""
+        store.apply_and_sync(grads, local)
+        stop = False
+        if episode is not None:
+            index, checkpoint, stop = store.finish_episode(
+                cfg, on_episode, wid, *episode, time.monotonic() - start_time, checkpoint_dir)
+            if checkpoint is not None:
+                checkpoint.save(f"{checkpoint_dir}/ep{index:08d}.ckpt")
+        return store.labeler.horizon, stop
+
     error = None
     try:
         if cfg.episode_budget <= 0:
             pass  # nothing to train, so no worker starts
-        elif cfg.n_workers == 1:
+        elif cfg.workers == 1:
             local = store.snapshot()
-            book = lambda grads, episode: _apply_and_book(
-                store, cfg, metrics_queue, 0, grads, local, episode)
-            _worker_loop(cfg, env_factory(0), np.random.default_rng(seeds[1]),
-                         local, book, start_time)
+            _worker_loop(model, weights, cfg.clip_norm, env0, np.random.default_rng(seeds[1]),
+                         local, lambda grads, episode: book(0, grads, local, episode))
         else:
-            _serve_workers(cfg, env_factory, seeds[1:], store, metrics_queue, start_time)
+            _serve_workers(cfg, model, weights, env_factory, seeds[1:], store.params, book)
     except BaseException as exc:  # propagate after flushing
         error = exc
-    if cfg.checkpoint_dir is not None:
-        store.snapshot().save(f"{cfg.checkpoint_dir}/final.ckpt")
-    if metrics_queue is not None:
-        metrics_queue.put(None)
+    if checkpoint_dir is not None:
+        store.snapshot().save(f"{checkpoint_dir}/final.ckpt")
     if error is not None:
         raise RuntimeError("worker failed") from error
     return store
 
 
-def _apply_and_book(store: GlobalStore, cfg: TrainConfig, metrics_queue, wid: int,
-                    grads: ParamSet, local: ParamSet, episode):
-    """Apply one worker's update, syncing `local`; when the update ended an
-    episode (episode = (length, reward, mean LossParts, wall time)), book it
-    and write its checkpoint if one is due. Returns (horizon, stop)."""
-    store.apply_and_sync(grads, local)
-    stop = False
-    if episode is not None:
-        index, checkpoint, stop = store.finish_episode(cfg, metrics_queue, wid, *episode)
-        if checkpoint is not None:
-            checkpoint.save(f"{cfg.checkpoint_dir}/ep{index:08d}.ckpt")
-    return store.labeler.horizon, stop
-
-
-def _worker_loop(cfg: TrainConfig, env: Environment, rng: np.random.Generator,
-                 local: ParamSet, book, start_time: float):
+def _worker_loop(model: ModelConfig, weights: LossWeights, clip_norm: float, env: Environment,
+                 rng: np.random.Generator, local: ParamSet, book):
     """One worker: collect a rollout with `local`, compute its clipped
     gradients, and hand them to book(grads, episode), which applies them,
     leaves the new parameters in `local`, and returns the horizon for the
     next update and whether to stop. episode is None, or, when the rollout
-    ended an episode, (length, reward, mean LossParts, wall time)."""
+    ended an episode, (length, reward, mean LossParts)."""
     horizon = None  # no episode has finished yet
     obs = env.reset(rng)
     episode_step = 0
@@ -319,12 +401,12 @@ def _worker_loop(cfg: TrainConfig, env: Environment, rng: np.random.Generator,
     acc = LossParts()
     n_updates = 0
     while True:
-        rollout, obs, done = collect_rollout(local, cfg.model, env, obs,
-                                             episode_step, rng, cfg.weights.t_max)
+        rollout, obs, done = collect_rollout(local, model, env, obs,
+                                             episode_step, rng, weights.t_max)
         episode_step += len(rollout.actions)
         episode_reward += float(rollout.rewards.sum())
-        grads, parts = compute_update(rollout, local, cfg.model, cfg.weights,
-                                      horizon, clip_norm=cfg.clip_norm)
+        grads, parts = compute_update(rollout, local, model, weights,
+                                      horizon, clip_norm=clip_norm)
         acc.policy_loss += parts.policy_loss
         acc.value_loss += parts.value_loss
         acc.tp_loss += parts.tp_loss
@@ -336,7 +418,7 @@ def _worker_loop(cfg: TrainConfig, env: Environment, rng: np.random.Generator,
                                value_loss=acc.value_loss / n_updates,
                                entropy=acc.entropy / n_updates,
                                tp_loss=acc.tp_loss / n_updates)
-            episode = (episode_step, episode_reward, losses, time.monotonic() - start_time)
+            episode = (episode_step, episode_reward, losses)
         horizon, stop = book(grads, episode)
         if stop:
             return
@@ -361,20 +443,20 @@ class WorkerError(Exception):
         return f"{self.type_name} in a worker process:\n{self.traceback}"
 
 
-def _serve_workers(cfg: TrainConfig, env_factory, seeds, store: GlobalStore,
-                   metrics_queue, start_time: float) -> None:
-    """Fork one process per worker and apply their updates until every
-    worker has been told to stop. Each worker owns two anonymous shared
-    buffers, its parameters and its gradients; per update it sends one
-    message (the episode it ended, or None) and gets back (horizon,
-    version, stop). On any failure every worker is terminated and joined
-    before the error propagates."""
+def _serve_workers(cfg: RunConfig, model: ModelConfig, weights: LossWeights, env_factory,
+                   seeds, params: ParamSet, book) -> None:
+    """Fork one process per worker and apply their updates, through
+    book(wid, grads, local, episode), until every worker has been told to
+    stop. Each worker owns two anonymous shared buffers, its parameters and
+    its gradients; per update it sends one message (the episode it ended,
+    or None) and gets back (horizon, version, stop). On any failure every
+    worker is terminated and joined before the error propagates."""
     import mmap
     import multiprocessing
     from multiprocessing.connection import wait
 
     ctx = multiprocessing.get_context("fork")
-    layout, nbytes = store.params.layout, store.params.flat.nbytes
+    layout, nbytes = params.layout, params.flat.nbytes
 
     def shared(version: int) -> ParamSet:
         flat = np.frombuffer(mmap.mmap(-1, nbytes), dtype=np.float64)
@@ -382,12 +464,13 @@ def _serve_workers(cfg: TrainConfig, env_factory, seeds, store: GlobalStore,
 
     workers = []  # (process, connection, local params, grads)
     try:
-        for wid in range(cfg.n_workers):
-            local, grads = shared(store.version), shared(0)
-            np.copyto(local.flat, store.params.flat)
+        for wid in range(cfg.workers):
+            local, grads = shared(params.version), shared(0)
+            np.copyto(local.flat, params.flat)
             conn, child_conn = ctx.Pipe()
             proc = ctx.Process(target=_worker_process, daemon=True, args=(
-                wid, cfg, env_factory, seeds[wid], local, grads, child_conn, start_time))
+                wid, model, weights, cfg.clip_norm, env_factory, seeds[wid], local, grads,
+                child_conn))
             proc.start()
             child_conn.close()  # the worker's exit then reads as EOF here
             workers.append((proc, conn, local, grads))
@@ -407,8 +490,7 @@ def _serve_workers(cfg: TrainConfig, env_factory, seeds, store: GlobalStore,
                     if msg.exc is None:
                         raise msg
                     raise msg.exc from msg
-                horizon, stop_now = _apply_and_book(store, cfg, metrics_queue, wid,
-                                                    grads, local, msg)
+                horizon, stop_now = book(wid, grads, local, msg)
                 stop = stop or stop_now
                 conn.send((horizon, local.version, stop))
                 if stop:
@@ -424,8 +506,8 @@ def _serve_workers(cfg: TrainConfig, env_factory, seeds, store: GlobalStore,
             conn.close()
 
 
-def _worker_process(wid: int, cfg: TrainConfig, env_factory, seed, local: ParamSet,
-                    grads_out: ParamSet, conn, start_time: float) -> None:
+def _worker_process(wid: int, model: ModelConfig, weights: LossWeights, clip_norm: float,
+                    env_factory, seed, local: ParamSet, grads_out: ParamSet, conn) -> None:
     """Body of a forked worker: `local` and `grads_out` are its shared
     buffers, and conn its end of the pipe to the parent."""
     try:
@@ -437,7 +519,8 @@ def _worker_process(wid: int, cfg: TrainConfig, env_factory, seed, local: ParamS
             horizon, local.version, stop = conn.recv()
             return horizon, stop
 
-        _worker_loop(cfg, env_factory(wid), np.random.default_rng(seed), local, book, start_time)
+        _worker_loop(model, weights, clip_norm, env_factory(wid), np.random.default_rng(seed),
+                     local, book)
     except BaseException as exc:
         import traceback
         try:

@@ -6,7 +6,6 @@ the `extended` marker (deselected by default; run with `pytest -m extended`).
 """
 
 import os
-import queue
 
 import numpy as np
 import pytest
@@ -26,7 +25,7 @@ from a3ctp.harness import (
 from a3ctp.losses import EPISODE_LENGTH_WINDOW, LossWeights, TPLabeler, tp_loss, tp_targets
 from a3ctp.model import ModelConfig, init_model, model_backward, rollout_loss
 from a3ctp.nn import AdamState, gradient_check
-from a3ctp.trainer import TrainConfig, train
+from a3ctp.trainer import train
 
 from minibomber_traces import TRACES
 
@@ -39,7 +38,6 @@ def _verdict(num: int, name: str, ok: bool) -> None:
 def test_criterion_01_exact_constants():
     w = LossWeights()
     ok = (w.lambda_v, w.lambda_pi, w.lambda_h, w.lambda_tp) == (0.5, 1.0, 0.01, 0.5)
-    ok = ok and TrainConfig(model=ModelConfig(4, 2, (8,))).lr == 1e-4
     ok = ok and RunConfig().lr == 1e-4
     params = init_model(ModelConfig(4, 2, (8,)), np.random.default_rng(0))
     ok = ok and AdamState.for_params(params).lr == 1e-4
@@ -104,24 +102,19 @@ def test_criterion_03_tp_label_properties():
     _verdict(3, "terminal-prediction label properties", ok)
 
 
-def _train_1000(use_tp: bool, lambda_tp: float, ckpt_dir: str):
-    cfg = TrainConfig(
-        model=ModelConfig(64, 4, (32,)),
-        weights=LossWeights(lambda_tp=lambda_tp),
-        n_workers=1, seed=11, episode_budget=1000, use_tp=use_tp,
-        checkpoint_dir=ckpt_dir, checkpoint_cadence=250,
-    )
-    q: queue.Queue = queue.Queue()
-    store = train(cfg, lambda wid: GridGoal(8), metrics_queue=q)
+def _train_1000(algorithm: str, lambda_tp: float, ckpt_dir: str):
+    # hidden 32 on GridGoal(8) is the network ModelConfig(64, 4, (32,))
+    cfg = RunConfig(algorithm=algorithm, lambda_tp=lambda_tp, hidden="32",
+                    workers=1, seed=11, episode_budget=1000, checkpoint_cadence=250)
     rows = []
-    while (row := q.get()) is not None:
-        rows.append((row.episode, row.length, row.reward))
+    store = train(cfg, lambda wid: GridGoal(8), checkpoint_dir=ckpt_dir,
+                  on_episode=lambda row: rows.append((row.episode, row.length, row.reward)))
     return store, rows
 
 
 def test_criterion_04_a3c_recovery(tmp_path):
-    s_tp, rows_tp = _train_1000(True, 0.0, str(tmp_path / "tp0"))
-    s_a3c, rows_a3c = _train_1000(False, 0.5, str(tmp_path / "a3c"))
+    s_tp, rows_tp = _train_1000("a3c-tp", 0.0, str(tmp_path / "tp0"))
+    s_a3c, rows_a3c = _train_1000("a3c", 0.5, str(tmp_path / "a3c"))
     ok = rows_tp == rows_a3c
     ok = ok and s_tp.params.equal_bits(s_a3c.params)
     for name in sorted(os.listdir(tmp_path / "tp0")):

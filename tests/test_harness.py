@@ -98,6 +98,39 @@ class TestRunConfig:
         path.write_text("# a run\n\nout_dir=a=b\nworkers=3\n")
         assert RunConfig.load(path) == RunConfig(workers=3, out_dir="a=b")
 
+    @pytest.mark.parametrize("args, problem", [
+        (["--moving-window", "0"], "moving_window"),
+        (["--t-max", "0"], "t_max"),
+        (["--gamma", "1.5"], "gamma"),
+        (["--gamma", "-0.5"], "gamma"),
+        (["--lambda-v", "-1"], "nonnegative"),
+        (["--lambda-pi", "-1"], "nonnegative"),
+        (["--lambda-h", "-0.01"], "nonnegative"),
+        (["--lambda-tp", "-0.5"], "nonnegative"),
+        (["--algorithm", "a3c", "--lambda-tp", "-0.5"], "nonnegative"),
+    ], ids=["moving-window-0", "t-max-0", "gamma-above-1", "gamma-below-0", "lambda-v",
+            "lambda-pi", "lambda-h", "lambda-tp", "lambda-tp-of-plain-a3c"])
+    def test_rejected_value_writes_no_file(self, tmp_path, args, problem):
+        out = tmp_path / "run"
+        with pytest.raises(ValueError, match=problem):
+            cli_main(["train", *args, "--env-size", "4", "--hidden", "8", "--workers", "1",
+                      "--episode-budget", "3", "--out-dir", str(out)])
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("text, problem", [
+        ("moving_window=0\n", "moving_window"),
+        ("gamma=1.5\n", "gamma"),
+    ], ids=["moving-window-0", "gamma-above-1"])
+    def test_load_rejects_what_runconfig_rejects(self, tmp_path, text, problem):
+        path = tmp_path / "config.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=problem):
+            RunConfig.load(path)
+
+    def test_plain_a3c_has_zero_tp_weight(self):
+        assert RunConfig(algorithm="a3c", lambda_tp=0.75).weights().lambda_tp == 0.0
+        assert RunConfig(algorithm="a3c-tp", lambda_tp=0.75).weights().lambda_tp == 0.75
+
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_save_load_roundtrip_of_random_configs(self, tmp_path_factory, data):
@@ -105,7 +138,11 @@ class TestRunConfig:
                        max_size=12).filter(lambda v: v == v.strip())
         kinds = {"int": st.integers(-10**12, 10**12),
                  "float": st.floats(allow_nan=False), "str": text}
-        valid = {"algorithm": st.sampled_from(harness.ALGORITHMS), "workers": st.integers(1, 64)}
+        weight = st.floats(min_value=0.0, allow_nan=False)
+        valid = {"algorithm": st.sampled_from(harness.ALGORITHMS), "workers": st.integers(1, 64),
+                 "moving_window": st.integers(1, 10**12), "t_max": st.integers(1, 10**12),
+                 "gamma": st.floats(0.0, 1.0), "lambda_v": weight, "lambda_pi": weight,
+                 "lambda_h": weight, "lambda_tp": weight}
         cfg = RunConfig(**{f.name: data.draw(valid.get(f.name, kinds[f.type]), label=f.name)
                            for f in dataclasses.fields(RunConfig)})
         path = tmp_path_factory.mktemp("cfg") / "config.txt"
@@ -181,6 +218,16 @@ class TestRunExperiment:
             column = 1 if name == "metrics.csv" else 0
             assert [int(line.split(",")[column]) for line in lines[1:]] == list(range(1, 31))
 
+    def test_rerun_from_config_txt_is_bit_exact(self, tmp_path):
+        first = run_experiment(small_config(tmp_path, workers=1, episode_budget=20,
+                                            out_dir=str(tmp_path / "a")))
+        cfg = RunConfig.load(os.path.join(first, "config.txt"))
+        second = run_experiment(dataclasses.replace(cfg, out_dir=str(tmp_path / "b")))
+        for name in ("metrics.csv", os.path.join("checkpoints", "final.ckpt")):
+            with open(os.path.join(first, name), "rb") as f1, \
+                    open(os.path.join(second, name), "rb") as f2:
+                assert f1.read() == f2.read(), name
+
     def test_a3c_run_reports_zero_tp_loss(self, tmp_path):
         run_dir = run_experiment(small_config(tmp_path, algorithm="a3c"))
         m = read_metrics(run_dir)
@@ -203,6 +250,9 @@ class TestSweep:
             sweep_lambda_tp(base, [], [0])
         with pytest.raises(ValueError):
             sweep_lambda_tp(base, [0.5, 0.5], [0])
+        with pytest.raises(ValueError, match="nonnegative"):  # before any run starts
+            sweep_lambda_tp(base, [0.5, -1.0], [0])
+        assert not os.path.exists(base.out_dir)
 
 
 def _write_fake_run(root, name, rewards, window=3, budget=None, **cfg_kw):
@@ -254,6 +304,15 @@ class TestSummarize:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             summarize([], threshold=0.5)
+
+    def test_reads_each_config_once(self, tmp_path, monkeypatch):
+        dirs = [_write_fake_run(str(tmp_path), f"s{i}", [1.0, 0.0], seed=i) for i in range(3)]
+        loaded = []
+        real = RunConfig.load.__func__
+        monkeypatch.setattr(RunConfig, "load",
+                            classmethod(lambda cls, path: loaded.append(path) or real(cls, path)))
+        summarize(dirs, threshold=0.5)
+        assert sorted(loaded) == sorted(os.path.join(d, "config.txt") for d in dirs)
 
     def test_table_layout(self, tmp_path):
         d = _write_fake_run(str(tmp_path), "s0", [1.0, 1.0], seed=0)

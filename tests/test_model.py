@@ -224,7 +224,7 @@ def layered_forward(params, cfg, obs):
     return probs, v[:, 0], tp, (trunk_cache, pol, val, tp_cache)
 
 
-def layered_backward(params, cfg, obs, actions, adv, ret, y, w, use_tp):
+def layered_backward(params, cfg, obs, actions, adv, ret, y, w, with_tp):
     """Backward pass composed from mlp_backward with the same loss
     arithmetic as the model: the reference for its gradients."""
     probs, v, tp_pred, (trunk, pol, val, tp_cache) = layered_forward(params, cfg, obs)
@@ -241,7 +241,7 @@ def layered_backward(params, cfg, obs, actions, adv, ret, y, w, use_tp):
     d_h_pol = mlp_backward(params, pol, d_logits, grads)
     d_h_val = mlp_backward(params, val, d_v[:, None], grads)
     d_h = d_h_pol + d_h_val
-    if use_tp:
+    if with_tp:
         d_u = w.lambda_tp * (-2.0 / T) * (y - tp_pred) * tp_pred * (1.0 - tp_pred)
         d_h = d_h + mlp_backward(params, tp_cache, d_u[:, None], grads)
     mlp_backward(params, trunk, d_h, grads)
@@ -259,8 +259,8 @@ class TestLeanPasses:
         for a, b in zip(got, want):
             assert a.shape == b.shape and np.array_equal(a, b)
 
-    @pytest.mark.parametrize("use_tp", [True, False])
-    def test_backward_bit_identical_to_layered_reference(self, use_tp):
+    @pytest.mark.parametrize("with_tp", [True, False])
+    def test_backward_bit_identical_to_layered_reference(self, with_tp):
         cfg = small_cfg(obs_dim=9, n_actions=5, hidden=(16, 12))
         params = init_model(cfg, np.random.default_rng(32))
         rng = np.random.default_rng(33)
@@ -271,8 +271,8 @@ class TestLeanPasses:
         w = LossWeights()
         _, _, _, cache = forward_batch(params, cfg, obs)
         got, _ = backward_batch(params, cfg, cache, actions, adv, ret,
-                                y if use_tp else None, w)
-        want = layered_backward(params, cfg, obs, actions, adv, ret, y, w, use_tp)
+                                y if with_tp else None, w)
+        want = layered_backward(params, cfg, obs, actions, adv, ret, y, w, with_tp)
         assert got.names() == want.names()
         for k in got:
             assert np.array_equal(got[k], want[k]), k

@@ -4,7 +4,6 @@ parameter store, and end-to-end determinism of single-worker training."""
 import contextlib
 import multiprocessing
 import os
-import queue
 import signal
 import sys
 import threading
@@ -18,7 +17,7 @@ from a3ctp.losses import LossWeights, TPLabeler
 from a3ctp.model import ModelConfig, init_model
 from a3ctp.nn import AdamState, ParamSet
 from a3ctp.trainer import (
-    GlobalStore, Rollout, TrainConfig, collect_rollout, compute_update, train,
+    GlobalStore, Rollout, RunConfig, collect_rollout, compute_update, train,
 )
 
 
@@ -176,46 +175,41 @@ class TestGlobalStore:
     def test_finish_episode_moving_average(self):
         cfg, params = tiny_model()
         store = GlobalStore(params, AdamState.for_params(params), window=4)
-        tc = TrainConfig(model=cfg, episode_budget=100, early_stop_reward=0.5)
-        q = queue.Queue()
-        book = lambda r: store.finish_episode(tc, q, 0, 3, r, trainer.LossParts(), 0.0)
+        rc = RunConfig(episode_budget=100, early_stop_reward=0.5)
+        rows = []
+        book = lambda r: store.finish_episode(rc, rows.append, 0, 3, r, trainer.LossParts(), 0.0)
         for r in [1.0, 0.0, 1.0]:
             idx, _, stop = book(r)
         assert idx == 3 and not stop  # window not yet full
-        assert q.get().moving_avg_reward == 1.0 and q.get().moving_avg_reward == 0.5
-        assert q.get().moving_avg_reward == 2.0 / 3.0
+        assert [row.moving_avg_reward for row in rows] == [1.0, 0.5, 2.0 / 3.0]
         idx, _, stop = book(0.0)
-        assert idx == 4 and q.get().moving_avg_reward == 0.5 and stop
+        assert idx == 4 and rows[-1].moving_avg_reward == 0.5 and stop
         idx, _, stop = book(0.0)
-        assert idx == 5 and q.get().moving_avg_reward == 0.25 and not stop  # oldest evicted
+        assert idx == 5 and rows[-1].moving_avg_reward == 0.25 and not stop  # oldest evicted
 
     def test_finish_episode_stops_at_budget_and_books_no_row_past_it(self):
         cfg, store = self._store()
-        q = queue.Queue()
-        tc = TrainConfig(model=cfg, episode_budget=2)
-        stops = [store.finish_episode(tc, q, 0, 3, 0.0, trainer.LossParts(), 0.0)[2]
+        rows = []
+        rc = RunConfig(episode_budget=2)
+        stops = [store.finish_episode(rc, rows.append, 0, 3, 0.0, trainer.LossParts(), 0.0)[2]
                  for _ in range(3)]
         assert stops == [False, True, True]
-        assert [q.get().episode for _ in range(q.qsize())] == [1, 2]
+        assert [row.episode for row in rows] == [1, 2]
 
 
 class TestTrain:
     def _config(self, **kw):
-        cfg = ModelConfig(16, 4, (8,))
-        defaults = dict(model=cfg, weights=LossWeights(),
-                        n_workers=1, seed=3, episode_budget=20)
+        # hidden 8 on GridGoal(4) is the network ModelConfig(16, 4, (8,))
+        defaults = dict(hidden="8", workers=1, seed=3, episode_budget=20)
         defaults.update(kw)
-        return TrainConfig(**defaults)
+        return RunConfig(**defaults)
 
     def test_single_worker_bit_determinism(self):
         def run(seed):
-            q = queue.Queue()
+            rows = []
             store = train(self._config(seed=seed),
                           lambda wid: GridGoal(4, max_steps=20),
-                          metrics_queue=q)
-            rows = []
-            while (row := q.get()) is not None:
-                rows.append((row.episode, row.length, row.reward))
+                          on_episode=lambda row: rows.append((row.episode, row.length, row.reward)))
             return store, rows
 
         s1, r1 = run(5)
@@ -226,39 +220,35 @@ class TestTrain:
         assert not s1.params.equal_bits(s3.params)
 
     def test_metrics_rows_cover_budget_once(self):
-        q = queue.Queue()
-        train(self._config(n_workers=4, episode_budget=30),
-              lambda wid: GridGoal(4, max_steps=20), metrics_queue=q)
         episodes = []
-        while (row := q.get()) is not None:
-            episodes.append(row.episode)
+        train(self._config(workers=4, episode_budget=30),
+              lambda wid: GridGoal(4, max_steps=20),
+              on_episode=lambda row: episodes.append(row.episode))
         assert sorted(episodes) == list(range(1, 31))
 
     def test_zero_budget_trains_nothing(self):
-        q = queue.Queue()
+        rows = []
         store = train(self._config(episode_budget=0),
-                      lambda wid: GridGoal(4, max_steps=20), metrics_queue=q)
+                      lambda wid: GridGoal(4, max_steps=20), on_episode=rows.append)
         assert store.version == 0 == store.optimizer.step
-        assert q.get() is None
+        assert rows == []
 
     def test_final_checkpoint_written(self, tmp_path):
-        train(self._config(episode_budget=5, checkpoint_dir=str(tmp_path)),
-              lambda wid: GridGoal(4, max_steps=20))
+        train(self._config(episode_budget=5),
+              lambda wid: GridGoal(4, max_steps=20), checkpoint_dir=str(tmp_path))
         assert (tmp_path / "final.ckpt").exists()
 
     def test_periodic_checkpoints(self, tmp_path):
-        train(self._config(episode_budget=10, checkpoint_dir=str(tmp_path),
-                           checkpoint_cadence=5),
-              lambda wid: GridGoal(4, max_steps=20))
+        train(self._config(episode_budget=10, checkpoint_cadence=5),
+              lambda wid: GridGoal(4, max_steps=20), checkpoint_dir=str(tmp_path))
         assert (tmp_path / "ep00000005.ckpt").exists()
         assert (tmp_path / "ep00000010.ckpt").exists()
 
     def test_periodic_checkpoints_stay_within_budget(self, tmp_path):
         # Workers that finish an episode after the budget is reached book it,
         # but it gets neither a metrics row nor a checkpoint.
-        train(self._config(n_workers=4, episode_budget=6, checkpoint_dir=str(tmp_path),
-                           checkpoint_cadence=1),
-              lambda wid: GridGoal(4, max_steps=20))
+        train(self._config(workers=4, episode_budget=6, checkpoint_cadence=1),
+              lambda wid: GridGoal(4, max_steps=20), checkpoint_dir=str(tmp_path))
         names = sorted(p.name for p in tmp_path.glob("ep*.ckpt"))
         assert names == [f"ep{i:08d}.ckpt" for i in range(1, 7)]
         versions = [ParamSet.load(tmp_path / name).version for name in names]
@@ -274,12 +264,10 @@ class TestTrain:
                   lambda wid: Broken(4, max_steps=20))
 
     def test_labeler_tracks_episode_lengths(self):
-        q = queue.Queue()
-        store = train(self._config(episode_budget=15),
-                      lambda wid: GridGoal(4, max_steps=20), metrics_queue=q)
         lengths = []
-        while (row := q.get()) is not None:
-            lengths.append(row.length)
+        store = train(self._config(episode_budget=15),
+                      lambda wid: GridGoal(4, max_steps=20),
+                      on_episode=lambda row: lengths.append(row.length))
         assert store.labeler.horizon == pytest.approx(np.mean(lengths))
 
 
@@ -295,8 +283,7 @@ class TestLock:
             return real(grads, max_norm)
 
         monkeypatch.setattr(trainer, "clip_global_norm", counting)
-        store = train(TrainConfig(model=ModelConfig(16, 4, (8,)), n_workers=1,
-                                  seed=3, episode_budget=10),
+        store = train(RunConfig(hidden="8", workers=1, seed=3, episode_budget=10),
                       lambda wid: GridGoal(4, max_steps=20))
         assert store.version > 0
         assert len(calls) == store.version
@@ -350,10 +337,9 @@ class TestProcesses:
     """workers > 1: one forked process per worker, served by the caller."""
 
     def _config(self, **kw):
-        defaults = dict(model=ModelConfig(16, 4, (8,)), n_workers=2, seed=3,
-                        episode_budget=10**6)
+        defaults = dict(hidden="8", workers=2, seed=3, episode_budget=10**6)
         defaults.update(kw)
-        return TrainConfig(**defaults)
+        return RunConfig(**defaults)
 
     def test_exactly_n_workers_start_and_none_outlives_train(self, monkeypatch):
         fork = multiprocessing.get_context("fork").Process
@@ -365,20 +351,17 @@ class TestProcesses:
             real_start(proc)
 
         monkeypatch.setattr(fork, "start", counting_start)
-        q = queue.Queue()
+        rows = []
         with deadline(120):
-            store = train(self._config(n_workers=4, episode_budget=30),
-                          lambda wid: GridGoal(4, max_steps=20), metrics_queue=q)
+            store = train(self._config(workers=4, episode_budget=30),
+                          lambda wid: GridGoal(4, max_steps=20), on_episode=rows.append)
         assert len(starts) == 4 and multiprocessing.active_children() == []
         assert store.version >= 30 and store.episode_count >= 30
-        rows = []
-        while (row := q.get()) is not None:
-            rows.append(row)
         assert [r.episode for r in rows] == list(range(1, 31))
         assert {r.worker_id for r in rows} <= {0, 1, 2, 3}
 
         with deadline(120), pytest.raises(RuntimeError, match="worker failed"):
-            train(self._config(n_workers=4),
+            train(self._config(workers=4),
                   lambda wid: RaisingGrid(4, max_steps=20) if wid == 2 else GridGoal(4))
         assert len(starts) == 8 and multiprocessing.active_children() == []
 
@@ -386,8 +369,8 @@ class TestProcesses:
         fork = multiprocessing.get_context("fork").Process
         monkeypatch.setattr(fork, "start", lambda proc: pytest.fail("a process started"))
         for n in (0, -1):
-            with pytest.raises(ValueError, match="n_workers"):
-                train(self._config(n_workers=n), lambda wid: GridGoal(4))
+            with pytest.raises(ValueError, match="workers"):
+                train(self._config(workers=n), lambda wid: GridGoal(4))
 
     def test_worker_that_exits_is_named_with_its_exit_code(self):
         with deadline(60), pytest.raises(RuntimeError, match="worker failed") as info:
@@ -425,13 +408,12 @@ class TestProcesses:
         assert multiprocessing.active_children() == []
 
     def test_error_in_the_parent_stops_every_worker(self):
-        class FailingQueue:
-            def put(self, row):
-                if row is not None and row.episode == 3:
-                    raise OSError("disk full")
+        def failing_writer(row):
+            if row.episode == 3:
+                raise OSError("disk full")
 
         with deadline(60), pytest.raises(RuntimeError, match="worker failed") as info:
             train(self._config(), lambda wid: GridGoal(4, max_steps=20),
-                  metrics_queue=FailingQueue())
+                  on_episode=failing_writer)
         assert isinstance(info.value.__cause__, OSError)
         assert multiprocessing.active_children() == []
