@@ -31,6 +31,7 @@ visible after steps t+10 and t+11 and gone after step t+12.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -97,6 +98,20 @@ class EpisodeOutcome:
     cause: str
 
 
+Neighbors = tuple[tuple[int, tuple[int, int]], ...]  # (action, (row, col)) pairs
+
+
+@cache
+def _neighbor_table(n: int) -> tuple[tuple[Neighbors, ...], ...]:
+    """table[r][c] is BomberBoard.neighbors(r, c) on an n-by-n board, made
+    once per size: the opponent's searches read it for every cell they
+    visit."""
+    return tuple(tuple(tuple((action, (r + dr, c + dc)) for action, (dr, dc) in MOVE_DELTAS.items()
+                             if 0 <= r + dr < n and 0 <= c + dc < n)
+                       for c in range(n))
+                 for r in range(n))
+
+
 class BomberBoard:
     """Full mutable board state for one episode."""
 
@@ -135,6 +150,16 @@ class BomberBoard:
             if i != exclude and a.alive and a.row == r and a.col == c:
                 return i
         return None
+
+    def open_cell(self, r: int, c: int) -> bool:
+        """In bounds, a passage, and no bomb on it. An agent may walk, and
+        a kicked bomb may slide, onto an open cell no agent stands on."""
+        return self.in_bounds(r, c) and self.grid[r, c] == PASSAGE and self.bomb_at(r, c) is None
+
+    def neighbors(self, r: int, c: int) -> Neighbors:
+        """(action, (row, col)) for each in-bounds orthogonal neighbour of
+        the cell, in MOVE_DELTAS order: up, down, left, right."""
+        return _neighbor_table(self.n)[r][c]
 
     def blast_cells(self, row: int, col: int, radius: int) -> list[tuple[int, int]]:
         """Cross of cells a bomb at (row, col) covers: rays stop before
@@ -225,19 +250,15 @@ class BomberBoard:
             if bomb is not None:
                 # Kick: push the bomb one cell ahead if that cell is free.
                 br, bc = r + dr, c + dc
-                if (agent.can_kick and self.in_bounds(br, bc)
-                        and self.grid[br, bc] == PASSAGE
-                        and self.bomb_at(br, bc) is None
+                if (agent.can_kick and self.open_cell(br, bc)
                         and self.agent_at(br, bc) is None):
                     kicks[i] = (i, bomb, (dr, dc))
                     targets[i] = (r, c)
                 continue
             targets[i] = (r, c)
         # Conflicts between the two agents: same target, or position swap.
-        if targets[0] == targets[1] and targets[0] != origins[0]:
-            targets = list(origins)
-            kicks = [None, None]
-        elif targets[0] == origins[1] and targets[1] == origins[0]:
+        if ((targets[0] == targets[1] and targets[0] != origins[0])
+                or (targets[0] == origins[1] and targets[1] == origins[0])):
             targets = list(origins)
             kicks = [None, None]
         else:
@@ -265,8 +286,7 @@ class BomberBoard:
                 continue
             dr, dc = b.direction
             r, c = b.row + dr, b.col + dc
-            if (self.in_bounds(r, c) and self.grid[r, c] == PASSAGE
-                    and self.bomb_at(r, c) is None and self.agent_at(r, c) is None):
+            if self.open_cell(r, c) and self.agent_at(r, c) is None:
                 b.row, b.col = r, c
             else:
                 b.direction = None
@@ -367,70 +387,67 @@ def classify_outcome(board: BomberBoard) -> EpisodeOutcome:
 # -- board generation -----------------------------------------------------
 
 CORNERS = lambda n: [(0, 0), (0, n - 1), (n - 1, 0), (n - 1, n - 1)]
+RIGID_DENSITY = 0.15  # chance that a generated cell is rigid
+WOOD_DENSITY = 0.25   # chance that a generated cell is wood
+POWERUP_PROB = 0.5    # chance that a wood cell hides a power-up
+MAX_RETRIES = 50      # disconnected boards drawn before a corridor is carved
 
 
 def generate_board(rng: np.random.Generator, n: int = 8,
-                   rigid_density: float = 0.15, wood_density: float = 0.25,
-                   powerup_prob: float = 0.5, step_cap: int = DEFAULT_STEP_CAP,
-                   max_retries: int = 50) -> BomberBoard:
+                   step_cap: int = DEFAULT_STEP_CAP) -> BomberBoard:
     """Random board with agents on two random distinct corners and a
     guaranteed non-rigid path between them.
 
     All four corners and their orthogonal neighbors stay clear so either
     corner pair is playable. If random generation fails connectivity
-    max_retries times, an L-shaped corridor is carved between the agents.
+    MAX_RETRIES times, an L-shaped corridor is carved between the agents.
     """
     corners = CORNERS(n)
     idx = rng.choice(4, size=2, replace=False)
     spawn = [corners[idx[0]], corners[idx[1]]]
-    clear: set[tuple[int, int]] = set()
+    clear: set[tuple[int, int]] = set(corners)
     for cr, cc in corners:
-        clear.add((cr, cc))
-        for dr, dc in MOVE_DELTAS.values():
-            r, c = cr + dr, cc + dc
-            if 0 <= r < n and 0 <= c < n:
-                clear.add((r, c))
+        clear.update(cell for _, cell in _neighbor_table(n)[cr][cc])
 
     board = None
-    for attempt in range(max_retries + 1):
+    for attempt in range(MAX_RETRIES + 1):
         b = BomberBoard(n, step_cap=step_cap)
         for r in range(n):
             for c in range(n):
                 if (r, c) in clear:
                     continue
                 u = rng.random()
-                if u < rigid_density:
+                if u < RIGID_DENSITY:
                     b.grid[r, c] = RIGID
-                elif u < rigid_density + wood_density:
+                elif u < RIGID_DENSITY + WOOD_DENSITY:
                     b.grid[r, c] = WOOD
         if _connected(b.grid, spawn[0], spawn[1]):
             board = b
             break
-        if attempt == max_retries:
+        if attempt == MAX_RETRIES:
             _carve_corridor(b.grid, spawn[0], spawn[1])
             board = b
     for r in range(n):
         for c in range(n):
-            if board.grid[r, c] == WOOD and rng.random() < powerup_prob:
+            if board.grid[r, c] == WOOD and rng.random() < POWERUP_PROB:
                 board.hidden_powerup[r, c] = rng.integers(EXTRA_BOMB, KICK + 1)
     board.agents = [AgentState(*spawn[0]), AgentState(*spawn[1])]
     return board
 
 
 def _connected(grid: np.ndarray, a: tuple[int, int], b: tuple[int, int]) -> bool:
-    """BFS over non-rigid cells."""
-    n = grid.shape[0]
+    """Depth-first search over non-rigid cells."""
+    table = _neighbor_table(grid.shape[0])
     seen = {a}
     stack = [a]
     while stack:
         r, c = stack.pop()
         if (r, c) == b:
             return True
-        for dr, dc in MOVE_DELTAS.values():
-            nr, nc = r + dr, c + dc
-            if 0 <= nr < n and 0 <= nc < n and (nr, nc) not in seen and grid[nr, nc] != RIGID:
-                seen.add((nr, nc))
-                stack.append((nr, nc))
+        for _, cell in table[r][c]:
+            if cell not in seen and grid[cell] != RIGID:
+                seen.add(cell)
+                stack.append(cell)
     return False
 
 
@@ -465,14 +482,11 @@ def board_to_text(board: BomberBoard) -> str:
     for f in sorted(board.flames, key=lambda f: (f.row, f.col)):
         owners = ",".join(str(o) for o in sorted(f.owners))
         lines.append(f"flame {f.row} {f.col} life={f.life} owners={owners}")
-    for r in range(board.n):
-        for c in range(board.n):
-            if board.visible_powerup[r, c]:
-                lines.append(f"powerup {r} {c} kind={int(board.visible_powerup[r, c])}")
-    for r in range(board.n):
-        for c in range(board.n):
-            if board.hidden_powerup[r, c]:
-                lines.append(f"hidden {r} {c} kind={int(board.hidden_powerup[r, c])}")
+    for tag, powerups in (("powerup", board.visible_powerup), ("hidden", board.hidden_powerup)):
+        for r in range(board.n):
+            for c in range(board.n):
+                if powerups[r, c]:
+                    lines.append(f"{tag} {r} {c} kind={int(powerups[r, c])}")
     lines.append("end")
     return "\n".join(lines) + "\n"
 

@@ -9,8 +9,13 @@ list each step:
   3. walk a shortest path to the nearest visible power-up, else toward the
      nearest reachable wood or the enemy
   4. stay put
-Candidate ties are broken by fixed action order (up, down, left, right),
-then by the injected rng among equally good moves.
+Candidate moves come in the board's neighbour order (up, down, left,
+right), and the injected rng picks among equally good moves.
+
+Every cell rule is the board's: `BomberBoard.open_cell` says whether a
+cell can be entered and `BomberBoard.neighbors` lists a cell's neighbours.
+The opponent walks only onto `_walkable` cells: open, with no other agent
+and no flame on them.
 """
 
 from __future__ import annotations
@@ -19,12 +24,7 @@ from collections import deque
 
 import numpy as np
 
-from .board import (
-    BOMB, DOWN, LEFT, MOVE_DELTAS, PASSAGE, RIGHT, STAY, UP, WOOD,
-    BomberBoard,
-)
-
-ACTION_ORDER = (UP, DOWN, LEFT, RIGHT)
+from .board import BOMB, STAY, WOOD, BomberBoard
 
 
 def static_opponent(board: BomberBoard, agent_id: int = 1) -> int:
@@ -49,50 +49,36 @@ def danger_map(board: BomberBoard) -> dict[tuple[int, int], int]:
     return danger
 
 
-def _traversable(board: BomberBoard, r: int, c: int) -> bool:
-    return (board.in_bounds(r, c) and board.grid[r, c] == PASSAGE
-            and board.bomb_at(r, c) is None)
+def _walkable(board: BomberBoard, agent_id: int, r: int, c: int) -> bool:
+    """An open cell with no other agent and no flame on it."""
+    return (board.open_cell(r, c) and board.agent_at(r, c, exclude=agent_id) is None
+            and board.flame_at(r, c) is None)
 
 
 def dijkstra(board: BomberBoard, start: tuple[int, int],
              blocked: set[tuple[int, int]] | None = None) -> dict[tuple[int, int], int]:
-    """Shortest path lengths from start over traversable cells. Every edge
-    costs 1, so this is a breadth-first search. `blocked` cells are not
-    entered."""
+    """Shortest path lengths from start over open cells. Every edge costs
+    1, so this is a breadth-first search. `blocked` cells are not entered."""
     blocked = blocked or set()
     dist = {start: 0}
     frontier = deque([start])
     while frontier:
         r, c = frontier.popleft()
         d = dist[(r, c)] + 1
-        for dr, dc in MOVE_DELTAS.values():
-            cell = (r + dr, c + dc)
-            if cell not in dist and cell not in blocked and _traversable(board, *cell):
+        for _, cell in board.neighbors(r, c):
+            if cell not in dist and cell not in blocked and board.open_cell(*cell):
                 dist[cell] = d
                 frontier.append(cell)
     return dist
-
-
-def _safe_neighbors(board: BomberBoard, agent_id: int,
-                    danger: dict[tuple[int, int], int]) -> list[int]:
-    me = board.agents[agent_id]
-    out = []
-    for action in ACTION_ORDER:
-        dr, dc = MOVE_DELTAS[action]
-        r, c = me.row + dr, me.col + dc
-        if (_traversable(board, r, c) and (r, c) not in danger
-                and board.agent_at(r, c, exclude=agent_id) is None
-                and board.flame_at(r, c) is None):
-            out.append(action)
-    return out
 
 
 def _escape_route(board: BomberBoard, agent_id: int,
                   danger: dict[tuple[int, int], int]) -> list[int]:
     """First moves of shortest paths to the nearest danger-free cell.
 
-    BFS over traversable cells; cells whose flames arrive within the next
-    step are never entered. Empty when no danger-free cell is reachable.
+    Breadth-first search over walkable cells; a cell is not entered when
+    its flames arrive by the time the agent would. Empty when no
+    danger-free cell is reachable.
     """
     me = board.agents[agent_id]
     start = me.pos
@@ -107,16 +93,9 @@ def _escape_route(board: BomberBoard, agent_id: int,
             d = dist[pos]
             if best_d is not None and d >= best_d:
                 continue
-            for action in ACTION_ORDER:
-                dr, dc = MOVE_DELTAS[action]
-                cell = (pos[0] + dr, pos[1] + dc)
-                if not _traversable(board, cell[0], cell[1]):
-                    continue
-                if board.agent_at(cell[0], cell[1], exclude=agent_id) is not None:
-                    continue
-                if danger.get(cell, 10 ** 9) <= d + 1:  # flames beat us there
-                    continue
-                if board.flame_at(cell[0], cell[1]) is not None:
+            for action, cell in board.neighbors(*pos):
+                if (danger.get(cell, 10 ** 9) <= d + 1  # flames beat us there
+                        or not _walkable(board, agent_id, *cell)):
                     continue
                 if cell not in dist:
                     dist[cell] = d + 1
@@ -180,13 +159,10 @@ def rulebased_opponent(board: BomberBoard, agent_id: int = 1,
             return int(rng.choice(route))
         # No path to safety: step toward the latest-detonating neighbor.
         best, best_t = STAY, danger[me.pos]
-        for action in ACTION_ORDER:
-            dr, dc = MOVE_DELTAS[action]
-            r, c = me.row + dr, me.col + dc
-            if (_traversable(board, r, c) and board.flame_at(r, c) is None
-                    and board.agent_at(r, c, exclude=agent_id) is None
-                    and danger.get((r, c), 10 ** 9) > best_t):
-                best, best_t = action, danger.get((r, c), 10 ** 9)
+        for action, cell in board.neighbors(*me.pos):
+            t = danger.get(cell, 10 ** 9)
+            if t > best_t and _walkable(board, agent_id, *cell):
+                best, best_t = action, t
         return best
 
     # (2) drop a bomb when something is in range and a retreat exists
@@ -195,20 +171,16 @@ def rulebased_opponent(board: BomberBoard, agent_id: int = 1,
             return BOMB
 
     # (3) walk toward the nearest power-up, else wood/enemy. The graph of
-    # traversable, unblocked cells is undirected, so one search from the
-    # target gives every neighbour's distance back to it.
+    # open, unblocked cells is undirected, so one search from the target
+    # gives every neighbour's distance back to it.
     blocked = set(danger)
     dist = dijkstra(board, me.pos, blocked=blocked)
     target = _nearest_target(board, agent_id, dist)
     if target is not None:
         goal_d = dist[target]
         back = dijkstra(board, target, blocked=blocked)
-        candidates = []
-        for action in ACTION_ORDER:
-            dr, dc = MOVE_DELTAS[action]
-            cell = (me.row + dr, me.col + dc)
-            if dist.get(cell) == 1 and back.get(cell) == goal_d - 1:
-                candidates.append(action)
+        candidates = [action for action, cell in board.neighbors(*me.pos)
+                      if dist.get(cell) == 1 and back.get(cell) == goal_d - 1]
         if candidates:
             return int(rng.choice(candidates))
 
@@ -221,20 +193,17 @@ def _nearest_target(board: BomberBoard, agent_id: int,
     """Nearest reachable visible power-up; failing that, nearest cell
     adjacent to wood or to the enemy."""
     powerups = [(d, cell) for cell, d in dist.items()
-                if d > 0 and board.visible_powerup[cell] ]
+                if d > 0 and board.visible_powerup[cell]]
     if powerups:
         return min(powerups)[1]
     approach = []
     foe = board.agents[1 - agent_id]
+    foe_pos = foe.pos if foe.alive else None
     for cell, d in dist.items():
         if d == 0:
             continue
-        r, c = cell
-        for dr, dc in MOVE_DELTAS.values():
-            nr, nc = r + dr, c + dc
-            if not board.in_bounds(nr, nc):
-                continue
-            if board.grid[nr, nc] == WOOD or (foe.alive and (nr, nc) == foe.pos):
+        for _, near in board.neighbors(*cell):
+            if board.grid[near] == WOOD or near == foe_pos:
                 approach.append((d, cell))
                 break
     if approach:

@@ -15,7 +15,6 @@ forward-only loss both read its result; plain A3C is lambda_tp == 0.
 
 from __future__ import annotations
 
-import threading
 from collections import deque
 from dataclasses import dataclass
 
@@ -176,7 +175,8 @@ class TPLabeler:
 
     Keeps a ring buffer of up to the last `window` completed episode lengths;
     `horizon` is their arithmetic mean (None until the first episode
-    completes). Thread-safe: record and read take a short lock.
+    completes). It takes no lock: the `GlobalStore` that owns it records
+    and reads it only in the one thread that serves the store.
     """
 
     def __init__(self, window: int = EPISODE_LENGTH_WINDOW):
@@ -184,21 +184,17 @@ class TPLabeler:
             raise ValueError("window must be >= 1")
         self.window = window
         self._lengths: deque[int] = deque(maxlen=window)
-        self._lock = threading.Lock()
 
     def record_episode(self, length: int) -> None:
         if length < 1:
             raise ValueError("episode length must be >= 1")
-        with self._lock:
-            self._lengths.append(int(length))
+        self._lengths.append(int(length))
 
     @property
     def horizon(self) -> float | None:
-        with self._lock:
-            if not self._lengths:
-                return None
-            return sum(self._lengths) / len(self._lengths)
+        if not self._lengths:
+            return None
+        return sum(self._lengths) / len(self._lengths)
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._lengths)
+        return len(self._lengths)

@@ -56,6 +56,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
+from .envs import ENV_NAMES
 from .envs.base import Environment
 from .losses import LossParts, LossWeights, TPLabeler, advantages, n_step_returns, tp_targets
 from .model import ModelConfig, backward_batch, forward_batch, init_model, sample_action
@@ -111,9 +112,11 @@ ALGORITHMS = ("a3c", "a3c-tp")
 @dataclass
 class RunConfig:
     """Everything one training run is made of; `config.txt` holds one line
-    per field. Rejects, with ValueError, an unknown algorithm, fewer than
-    one worker, a moving window shorter than one episode, and any loss
-    weight LossWeights rejects."""
+    per field. Rejects, with ValueError, an unknown env or algorithm, a
+    board size below 1, a `hidden` that is not comma-separated widths of at
+    least 1, fewer than one worker, a moving window shorter than one
+    episode, a negative (or nan) value of a `_NONNEGATIVE` field, and any
+    loss weight LossWeights rejects."""
     env: str = "gridgoal"
     env_size: int = 8
     env_max_steps: int = 0        # 0 = environment default
@@ -135,13 +138,29 @@ class RunConfig:
     early_stop_reward: float = float("nan")  # full-window mean that stops training; nan = never
     out_dir: str = "runs/run"
 
+    _NONNEGATIVE = ("env_max_steps", "episode_budget", "checkpoint_cadence", "lr", "clip_norm")
+
     def __post_init__(self):
+        if self.env not in ENV_NAMES:
+            raise ValueError(f"env must be one of {ENV_NAMES}, not {self.env!r}")
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"algorithm must be one of {ALGORITHMS}")
+        if self.env_size < 1:
+            raise ValueError(f"env_size must be at least 1, not {self.env_size}")
+        try:
+            widths_ok = all(h >= 1 for h in self.hidden_sizes())
+        except ValueError:
+            widths_ok = False
+        if not widths_ok:
+            raise ValueError(f"hidden must be comma-separated widths of at least 1, "
+                             f"not {self.hidden!r}")
         if self.workers < 1:
             raise ValueError(f"workers must be at least 1, not {self.workers}")
         if self.moving_window < 1:
             raise ValueError(f"moving_window must be at least 1, not {self.moving_window}")
+        for name in self._NONNEGATIVE:
+            if not getattr(self, name) >= 0:  # nan fails too
+                raise ValueError(f"{name} must be nonnegative, not {getattr(self, name)}")
         self.weights()
 
     def weights(self) -> LossWeights:
@@ -176,9 +195,10 @@ class RunConfig:
         """Read a file written by `save`: key=value lines, where blank lines
         and lines starting with '#' are skipped and a missing key keeps its
         default. Raises ValueError, naming the line, for a line without '=',
-        an unknown key, a repeated key or a value of the wrong type, and
-        ValueError for any value RunConfig rejects."""
-        kwargs = {}
+        an unknown key, a repeated key, a value of the wrong type or a value
+        RunConfig rejects on its own; a rejection that no single line causes
+        names the file."""
+        kwargs, wheres = {}, {}
         parsers = cls.parsers()
         with open(path) as f:
             for lineno, line in enumerate(f, 1):
@@ -197,7 +217,16 @@ class RunConfig:
                     kwargs[key] = parsers[key](value)
                 except ValueError as exc:
                     raise ValueError(f"{where}: {exc}") from None
-        return cls(**kwargs)
+                wheres[key] = where
+        try:
+            return cls(**kwargs)
+        except ValueError as exc:
+            for key, value in kwargs.items():
+                try:
+                    cls(**{key: value})
+                except ValueError as own:
+                    raise ValueError(f"{wheres[key]}: {own}") from None
+            raise ValueError(f"{path}: {exc}") from None
 
 
 class GlobalStore:

@@ -25,6 +25,29 @@ def empty_board(n=8, a0=(0, 0), a1=(7, 7), cap=800):
     return b
 
 
+def _safe_neighbors(board, agent_id, danger):
+    """Oracle for the rule-based opponent's safety: the moves, in the order
+    up, down, left, right, from agent_id's cell onto a cell that is in
+    bounds, a passage, free of bombs, other live agents and flames, and
+    absent from the danger map. Each check is written out here, so the
+    oracle shares no code with the opponent it checks."""
+    me = board.agents[agent_id]
+    out = []
+    for action, (dr, dc) in ((UP, (-1, 0)), (DOWN, (1, 0)), (LEFT, (0, -1)), (RIGHT, (0, 1))):
+        r, c = me.row + dr, me.col + dc
+        if not (0 <= r < board.n and 0 <= c < board.n) or board.grid[r, c] != PASSAGE:
+            continue
+        if any(b.row == r and b.col == c for b in board.bombs):
+            continue
+        if any(i != agent_id and a.alive and (a.row, a.col) == (r, c)
+               for i, a in enumerate(board.agents)):
+            continue
+        if any(f.row == r and f.col == c for f in board.flames) or (r, c) in danger:
+            continue
+        out.append(action)
+    return out
+
+
 def trace_bomb_timing_and_flame_expiry():
     """Bomb placed at step 0 explodes during step 10; flames persist through
     step 11 and are gone after step 12."""

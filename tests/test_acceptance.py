@@ -15,9 +15,7 @@ from a3ctp.envs.minibomber.board import (
     BOMB, BOMB_TIMER, DEFAULT_STEP_CAP, FLAME_LIFETIME, PASSAGE, STAY,
     AgentState, BomberBoard, generate_board,
 )
-from a3ctp.envs.minibomber.opponents import (
-    _safe_neighbors, danger_map, rulebased_opponent,
-)
+from a3ctp.envs.minibomber.opponents import danger_map, rulebased_opponent
 from a3ctp.harness import (
     RunConfig, read_metrics, run_experiment, summarize, summary_table,
     sweep_lambda_tp,
@@ -27,7 +25,7 @@ from a3ctp.model import ModelConfig, init_model, model_backward, rollout_loss
 from a3ctp.nn import AdamState, gradient_check
 from a3ctp.trainer import train
 
-from minibomber_traces import TRACES
+from minibomber_traces import TRACES, _safe_neighbors
 
 
 def _verdict(num: int, name: str, ok: bool) -> None:

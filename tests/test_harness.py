@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from a3ctp import harness
 from a3ctp.cli import main as cli_main
+from a3ctp.envs import ENV_NAMES
 from a3ctp.envs.gridgoal import GridGoal
 from a3ctp.harness import (
     METRICS_COLUMNS, RunConfig, evaluate, read_metrics, run_experiment, summarize,
@@ -108,24 +109,40 @@ class TestRunConfig:
         (["--lambda-h", "-0.01"], "nonnegative"),
         (["--lambda-tp", "-0.5"], "nonnegative"),
         (["--algorithm", "a3c", "--lambda-tp", "-0.5"], "nonnegative"),
+        (["--hidden", "8,x"], "hidden"),
+        (["--hidden", "8,0"], "hidden"),
+        (["--env", "nosuch"], "env must be one of"),
+        (["--env-size", "0"], "env_size"),
+        (["--env-max-steps", "-1"], "env_max_steps"),
+        (["--lr", "-1"], "lr must be nonnegative"),
+        (["--lr", "nan"], "lr must be nonnegative"),
+        (["--clip-norm", "-1"], "clip_norm"),
+        (["--episode-budget", "-5"], "episode_budget"),
+        (["--checkpoint-cadence", "-2"], "checkpoint_cadence"),
     ], ids=["moving-window-0", "t-max-0", "gamma-above-1", "gamma-below-0", "lambda-v",
-            "lambda-pi", "lambda-h", "lambda-tp", "lambda-tp-of-plain-a3c"])
+            "lambda-pi", "lambda-h", "lambda-tp", "lambda-tp-of-plain-a3c", "hidden-not-a-number",
+            "hidden-width-0", "env-unknown", "env-size-0", "env-max-steps-negative",
+            "lr-negative", "lr-nan", "clip-norm-negative", "episode-budget-negative",
+            "checkpoint-cadence-negative"])
     def test_rejected_value_writes_no_file(self, tmp_path, args, problem):
         out = tmp_path / "run"
         with pytest.raises(ValueError, match=problem):
-            cli_main(["train", *args, "--env-size", "4", "--hidden", "8", "--workers", "1",
-                      "--episode-budget", "3", "--out-dir", str(out)])
+            cli_main(["train", "--env-size", "4", "--hidden", "8", "--workers", "1",
+                      "--episode-budget", "3", "--out-dir", str(out), *args])
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("text, problem", [
-        ("moving_window=0\n", "moving_window"),
-        ("gamma=1.5\n", "gamma"),
-    ], ids=["moving-window-0", "gamma-above-1"])
+        ("workers=2\nmoving_window=0\n", r"line 2 \('moving_window=0'\): moving_window"),
+        ("# a run\n\ngamma=1.5\n", r"line 3 \('gamma=1.5'\): gamma"),
+        ("env=nosuch\n", r"line 1 \('env=nosuch'\): env must be one of"),
+        ("seed=3\nhidden=8,x\n", r"line 2 \('hidden=8,x'\): hidden"),
+    ], ids=["moving-window-0", "gamma-above-1", "env-unknown", "hidden-not-a-number"])
     def test_load_rejects_what_runconfig_rejects(self, tmp_path, text, problem):
         path = tmp_path / "config.txt"
         path.write_text(text)
-        with pytest.raises(ValueError, match=problem):
+        with pytest.raises(ValueError, match=problem) as info:
             RunConfig.load(path)
+        assert str(info.value).startswith(f"{path}, line ")
 
     def test_plain_a3c_has_zero_tp_weight(self):
         assert RunConfig(algorithm="a3c", lambda_tp=0.75).weights().lambda_tp == 0.0
@@ -139,7 +156,12 @@ class TestRunConfig:
         kinds = {"int": st.integers(-10**12, 10**12),
                  "float": st.floats(allow_nan=False), "str": text}
         weight = st.floats(min_value=0.0, allow_nan=False)
-        valid = {"algorithm": st.sampled_from(harness.ALGORITHMS), "workers": st.integers(1, 64),
+        count = st.integers(0, 10**12)
+        widths = st.lists(st.integers(1, 4096), max_size=4).map(lambda w: ",".join(map(str, w)))
+        valid = {"env": st.sampled_from(ENV_NAMES), "env_size": st.integers(1, 10**12),
+                 "env_max_steps": count, "hidden": widths, "episode_budget": count,
+                 "checkpoint_cadence": count, "lr": weight, "clip_norm": weight,
+                 "algorithm": st.sampled_from(harness.ALGORITHMS), "workers": st.integers(1, 64),
                  "moving_window": st.integers(1, 10**12), "t_max": st.integers(1, 10**12),
                  "gamma": st.floats(0.0, 1.0), "lambda_v": weight, "lambda_pi": weight,
                  "lambda_h": weight, "lambda_tp": weight}

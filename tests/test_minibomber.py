@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from a3ctp.envs.minibomber.board import (
-    BOMB, DOWN, LEFT, PASSAGE, RIGHT, RIGID, STAY, UP, WOOD,
+    BOMB, DOWN, LEFT, MOVE_DELTAS, PASSAGE, RIGHT, RIGID, STAY, UP, WOOD,
     AgentState, Bomb, BomberBoard, Flame, KICK,
     board_from_text, board_to_text, classify_outcome, generate_board, _connected,
 )
@@ -18,7 +18,7 @@ from a3ctp.envs.minibomber.opponents import (
 )
 from a3ctp.envs.minibomber.replay import load_replay, replay_board, save_replay
 
-from minibomber_traces import TRACES, empty_board
+from minibomber_traces import TRACES, _safe_neighbors, empty_board
 
 
 @pytest.mark.parametrize("trace", TRACES, ids=lambda t: t.__name__)
@@ -97,6 +97,34 @@ class TestInvariants:
         b = empty_board()
         with pytest.raises(RuntimeError):
             classify_outcome(b)
+
+
+class TestCellRules:
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(2, 12))
+    def test_neighbors_are_the_in_bounds_move_deltas_in_order(self, n):
+        b = BomberBoard(n)
+        for r in range(n):
+            for c in range(n):
+                expect = [(action, (r + dr, c + dc)) for action, (dr, dc) in MOVE_DELTAS.items()
+                          if 0 <= r + dr < n and 0 <= c + dc < n]
+                assert list(b.neighbors(r, c)) == expect
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(4, 10), steps=st.integers(0, 40))
+    def test_open_cell_is_in_bounds_passage_without_bomb(self, seed, n, steps):
+        rng = np.random.default_rng(seed)
+        b = generate_board(rng, n=n)
+        for _ in range(steps):
+            if b.done:
+                break
+            b.step((int(rng.integers(0, 6)), int(rng.integers(0, 6))))
+        bombs = {(x.row, x.col) for x in b.bombs}
+        for r in range(-1, n + 1):
+            for c in range(-1, n + 1):
+                inside = 0 <= r < n and 0 <= c < n
+                expect = inside and b.grid[r, c] == PASSAGE and (r, c) not in bombs
+                assert b.open_cell(r, c) == expect
 
 
 class TestObservation:
@@ -221,7 +249,6 @@ class TestRuleBasedOpponent:
                 danger = danger_map(b)
                 lethal_now = danger.get(me.pos, 99) <= 1
                 if lethal_now and a1 == STAY:
-                    from a3ctp.envs.minibomber.opponents import _safe_neighbors
                     assert not _safe_neighbors(b, 1, danger)
                 b.step((STAY, a1))
 
