@@ -26,7 +26,7 @@ print(f"rule-based vs static: {outcome.result} by {outcome.cause} "
       f"after {board.step_count} steps")
 
 # the gym-style wrapper records everything needed for an exact replay
-env = MiniBomber(8, opponent="rulebased", record_actions=True)
+env = MiniBomber(8, opponent="rulebased")
 rng = np.random.default_rng(3)
 obs = env.reset(rng)
 print("observation vector length:", obs.shape[0], "(22 channels x 64 cells)")

@@ -16,11 +16,13 @@ against it):
   3. movement resolution, including bomb kicks; same-cell and swap
      conflicts bounce both agents back
   4. kicked/moving bombs slide one cell until obstructed
-  5. bomb tick (newly placed bombs skip this step's tick) and explosions,
-     chained to a fixpoint; flames spawn with lifetime 2; wood burns and
-     reveals its hidden power-up if any
-  6. deaths: agents standing in any flame die; each death records the
-     owner of the killing bomb
+  5. bomb tick (newly placed bombs skip this step's tick) and explosions:
+     expired bombs and bombs standing in a flame seed one worklist, and
+     each blast pushes the bombs on its cells; flames spawn (or refresh)
+     with lifetime 2 and carry the owners of every blast that covered
+     them; wood burns and reveals its hidden power-up if any
+  6. deaths: agents standing in any flame die; each death records an
+     owner of that flame, the agent itself if it is one
   7. power-up pickup
   8. step counter advances; terminal check
 
@@ -207,13 +209,15 @@ class BomberBoard:
         self._slide_bombs()
 
         # 5. tick + explosions
-        flame_owner_map = self._tick_and_explode()
+        self._tick_and_explode()
 
-        # 6. deaths
+        # 6. deaths: the flame holds every owner whose blast covered its
+        # cell; the agent's own bomb wins the attribution (suicide first).
         for i, agent in enumerate(self.agents):
-            if agent.alive and self.flame_at(agent.row, agent.col) is not None:
+            flame = self.flame_at(agent.row, agent.col) if agent.alive else None
+            if flame is not None:
                 agent.alive = False
-                self.killers[i] = self._pick_killer(i, flame_owner_map)
+                self.killers[i] = i if i in flame.owners else min(flame.owners, default=1 - i)
 
         # 7. power-up pickup
         for agent in self.agents:
@@ -237,7 +241,7 @@ class BomberBoard:
     def _resolve_movement(self, actions: tuple[int, int]) -> None:
         origins = [a.pos for a in self.agents]
         targets = list(origins)
-        kicks: list[tuple[int, Bomb, tuple[int, int]] | None] = [None, None]
+        kicks: list[tuple[Bomb, tuple[int, int]] | None] = [None, None]
         for i, action in enumerate(actions):
             agent = self.agents[i]
             if not agent.alive or action not in MOVE_DELTAS:
@@ -252,7 +256,7 @@ class BomberBoard:
                 br, bc = r + dr, c + dc
                 if (agent.can_kick and self.open_cell(br, bc)
                         and self.agent_at(br, bc) is None):
-                    kicks[i] = (i, bomb, (dr, dc))
+                    kicks[i] = (bomb, (dr, dc))
                     targets[i] = (r, c)
                 continue
             targets[i] = (r, c)
@@ -270,7 +274,7 @@ class BomberBoard:
                     kicks[i] = None
         for i in (0, 1):
             if kicks[i] is not None:
-                _, bomb, (dr, dc) = kicks[i]
+                bomb, (dr, dc) = kicks[i]
                 bomb.row += dr
                 bomb.col += dc
                 bomb.direction = (dr, dc)
@@ -291,33 +295,25 @@ class BomberBoard:
             else:
                 b.direction = None
 
-    def _tick_and_explode(self) -> dict[tuple[int, int], set[int]]:
-        """Decrement timers, detonate expired bombs plus any bomb caught in
-        flames, chained to a fixpoint. Returns cell -> owners of bombs whose
-        blast covered it this step."""
+    def _tick_and_explode(self) -> None:
+        """Decrement timers, then detonate every expired bomb and every bomb
+        standing in a flame, old or new, through one chain-reaction
+        worklist. Each blast cell's flame gains the bomb's owner."""
         for b in self.bombs:
             if not b.just_placed:
                 b.timer -= 1
-        exploding = [b for b in self.bombs if b.timer <= 0]
         flame_cells = {(f.row, f.col) for f in self.flames}
-        # Chain closure: bombs on flame cells (old or new) explode too.
-        changed = True
+        queue = [b for b in self.bombs if b.timer <= 0 or (b.row, b.col) in flame_cells]
+        detonated: set[int] = {id(b) for b in queue}
         new_flame_cells: dict[tuple[int, int], set[int]] = {}
-        detonated: set[int] = {id(b) for b in exploding}
-        queue = list(exploding)
-        while queue or changed:
-            changed = False
-            while queue:
-                b = queue.pop()
-                for cell in self.blast_cells(b.row, b.col, b.radius):
-                    new_flame_cells.setdefault(cell, set()).add(b.owner)
-            for b in self.bombs:
-                if id(b) in detonated:
-                    continue
-                if (b.row, b.col) in flame_cells or (b.row, b.col) in new_flame_cells:
-                    detonated.add(id(b))
-                    queue.append(b)
-                    changed = True
+        while queue:
+            b = queue.pop()
+            for cell in self.blast_cells(b.row, b.col, b.radius):
+                new_flame_cells.setdefault(cell, set()).add(b.owner)
+            for other in self.bombs:
+                if id(other) not in detonated and (other.row, other.col) in new_flame_cells:
+                    detonated.add(id(other))
+                    queue.append(other)
         if detonated:
             # ammo returns to the owner when a bomb goes off
             for b in self.bombs:
@@ -340,22 +336,6 @@ class BomberBoard:
                 existing.owners |= owners
             else:
                 self.flames.append(Flame(r, c, FLAME_LIFETIME, set(owners)))
-        return new_flame_cells
-
-    def _pick_killer(self, agent_id: int, flame_owner_map) -> int:
-        """Owner of the bomb that killed agent_id; on simultaneous coverage
-        by both owners' flames, the agent's own bomb wins the attribution
-        (suicide takes precedence)."""
-        pos = self.agents[agent_id].pos
-        owners: set[int] = set(flame_owner_map.get(pos, set()))
-        f = self.flame_at(*pos)
-        if f is not None:
-            owners |= f.owners
-        if agent_id in owners:
-            return agent_id
-        if owners:
-            return min(owners)
-        return 1 - agent_id  # walked into an unattributed flame (cannot happen)
 
     # -- terminal bookkeeping ---------------------------------------------
 
@@ -409,24 +389,21 @@ def generate_board(rng: np.random.Generator, n: int = 8,
     for cr, cc in corners:
         clear.update(cell for _, cell in _neighbor_table(n)[cr][cc])
 
-    board = None
-    for attempt in range(MAX_RETRIES + 1):
-        b = BomberBoard(n, step_cap=step_cap)
+    for _ in range(MAX_RETRIES + 1):
+        board = BomberBoard(n, step_cap=step_cap)
         for r in range(n):
             for c in range(n):
                 if (r, c) in clear:
                     continue
                 u = rng.random()
                 if u < RIGID_DENSITY:
-                    b.grid[r, c] = RIGID
+                    board.grid[r, c] = RIGID
                 elif u < RIGID_DENSITY + WOOD_DENSITY:
-                    b.grid[r, c] = WOOD
-        if _connected(b.grid, spawn[0], spawn[1]):
-            board = b
+                    board.grid[r, c] = WOOD
+        if _connected(board.grid, spawn[0], spawn[1]):
             break
-        if attempt == MAX_RETRIES:
-            _carve_corridor(b.grid, spawn[0], spawn[1])
-            board = b
+    else:
+        _carve_corridor(board.grid, spawn[0], spawn[1])
     for r in range(n):
         for c in range(n):
             if board.grid[r, c] == WOOD and rng.random() < POWERUP_PROB:
@@ -491,48 +468,86 @@ def board_to_text(board: BomberBoard) -> str:
     return "\n".join(lines) + "\n"
 
 
+# The key=value fields of each entity line, in the order board_to_text writes them.
+ENTITY_FIELDS = {"agent": ("alive", "ammo", "radius", "kick"),
+                 "bomb": ("owner", "timer", "radius", "dir"),
+                 "flame": ("life", "owners"),
+                 "powerup": ("kind",),
+                 "hidden": ("kind",)}
+
+
+def _key_values(line: str, tokens: list[str], keys: tuple[str, ...]) -> dict[str, str]:
+    """The line's key=value tokens, which must name exactly `keys`, in order."""
+    pairs = [t.split("=", 1) for t in tokens]
+    if [p[0] for p in pairs] != list(keys) or any(len(p) != 2 for p in pairs):
+        raise ValueError(f"board text line {line!r}: fields must be {'=, '.join(keys)}=")
+    return dict(pairs)
+
+
+def _agents(line: str, text: str, allowed=("0", "1")) -> list[int | None]:
+    """A comma-separated list of agent indices; "-" reads as None where allowed."""
+    ids = text.split(",") if text else []
+    if not all(x in allowed for x in ids):
+        raise ValueError(f"board text line {line!r}: {text!r} is not a list of agents 0 and 1")
+    return [None if x == "-" else int(x) for x in ids]
+
+
 def board_from_text(text: str) -> BomberBoard:
-    """Read board text v2, or v1 (no killers: both read back as None)."""
+    """Read board text v2, or v1 (no killers: both read back as None).
+    Raises ValueError for any other text; docs/formats.md lists each
+    rejection."""
     lines = text.strip().splitlines()
-    magic = lines[0].split()[:2]
-    if magic not in (["minibomber", "v1"], ["minibomber", "v2"]):
-        raise ValueError(f"not minibomber board text v1 or v2: {lines[0][:40]!r}")
-    head = dict(kv.split("=") for kv in lines[0].split()[2:])
-    n = int(head["n"])
-    board = BomberBoard(n, step_cap=int(head["cap"]))
-    board.step_count = int(head["step"])
-    if magic[1] == "v2":
-        board.killers = [None if k == "-" else int(k) for k in head["killers"].split(",")]
-    for r in range(n):
-        for c, ch in enumerate(lines[1 + r]):
-            board.grid[r, c] = CHAR_CELLS[ch]
+    head = lines[0].split() if lines else []
+    if head[:2] not in (["minibomber", "v1"], ["minibomber", "v2"]):
+        raise ValueError(f"not minibomber board text v1 or v2: {text[:40]!r}")
+    v2 = head[1] == "v2"
+    kv = _key_values(lines[0], head[2:], ("n", "step", "cap") + (("killers",) if v2 else ()))
+    n = int(kv["n"])
+    if n < 1 or lines[-1] != "end" or len(lines) < n + 2:
+        raise ValueError(f"board text needs n >= 1, {n} rows and one last end line")
+    board = BomberBoard(n, step_cap=int(kv["cap"]))
+    board.step_count = int(kv["step"])
+    if v2:
+        board.killers = _agents(lines[0], kv["killers"], ("-", "0", "1"))
+        if len(board.killers) != 2:
+            raise ValueError(f"board text header {lines[0]!r}: want killers of two agents")
+    for r, row in enumerate(lines[1:1 + n]):
+        if len(row) != n or not all(ch in CHAR_CELLS for ch in row):
+            raise ValueError(f"board text row {r} {row!r} is not {n} cells of {''.join(CHAR_CELLS)}")
+        board.grid[r] = [CHAR_CELLS[ch] for ch in row]
     board.agents = []
-    for line in lines[1 + n:]:
-        parts = line.split()
-        if parts[0] == "agent":
-            kv = dict(p.split("=") for p in parts[4:])
-            a = AgentState(int(parts[2]), int(parts[3]), alive=bool(int(kv["alive"])),
-                           ammo=int(kv["ammo"]), blast_radius=int(kv["radius"]),
-                           can_kick=bool(int(kv["kick"])))
-            board.agents.append(a)
-        elif parts[0] == "bomb":
-            kv = dict(p.split("=") for p in parts[3:])
+    for line in lines[1 + n:-1]:
+        tag, *parts = line.split() or [""]
+        if tag not in ENTITY_FIELDS:
+            raise ValueError(f"board text line {line!r}: unknown tag {tag!r}")
+        if tag == "agent":
+            if parts[:1] != [str(len(board.agents))]:
+                raise ValueError(f"board text line {line!r}: agents must be numbered 0, 1 in order")
+            parts = parts[1:]
+        kv = _key_values(line, parts[2:], ENTITY_FIELDS[tag])
+        r, c = int(parts[0]), int(parts[1])
+        if not board.in_bounds(r, c):
+            raise ValueError(f"board text line {line!r}: cell ({r}, {c}) is off the {n}x{n} board")
+        if tag == "agent":
+            board.agents.append(AgentState(r, c, alive=bool(int(kv["alive"])), ammo=int(kv["ammo"]),
+                                            blast_radius=int(kv["radius"]),
+                                            can_kick=bool(int(kv["kick"]))))
+        elif tag == "bomb":
+            owner, = _agents(line, kv["owner"])
             direction = None
             if kv["dir"] != "-":
                 dr, dc = kv["dir"].split(",")
                 direction = (int(dr), int(dc))
-            board.bombs.append(Bomb(int(parts[1]), int(parts[2]), int(kv["owner"]),
-                                    int(kv["timer"]), int(kv["radius"]), direction))
-        elif parts[0] == "flame":
-            kv = dict(p.split("=") for p in parts[3:])
-            owners = {int(o) for o in kv["owners"].split(",") if o}
-            board.flames.append(Flame(int(parts[1]), int(parts[2]), int(kv["life"]), owners))
-        elif parts[0] == "powerup":
-            kv = dict(p.split("=") for p in parts[3:])
-            board.visible_powerup[int(parts[1]), int(parts[2])] = int(kv["kind"])
-        elif parts[0] == "hidden":
-            kv = dict(p.split("=") for p in parts[3:])
-            board.hidden_powerup[int(parts[1]), int(parts[2])] = int(kv["kind"])
+            board.bombs.append(Bomb(r, c, owner, int(kv["timer"]), int(kv["radius"]), direction))
+        elif tag == "flame":
+            board.flames.append(Flame(r, c, int(kv["life"]), set(_agents(line, kv["owners"]))))
+        elif int(kv["kind"]) not in POWERUP_NAMES:
+            raise ValueError(f"board text line {line!r}: power-up kinds are 1, 2 and 3")
+        else:
+            powerups = board.visible_powerup if tag == "powerup" else board.hidden_powerup
+            powerups[r, c] = int(kv["kind"])
+    if len(board.agents) != 2:
+        raise ValueError(f"board text has {len(board.agents)} agents, not 2")
     if not all(a.alive for a in board.agents) or board.step_count >= board.step_cap:
         board.done = True
     return board

@@ -2,8 +2,9 @@
 controls agent 0, the configured opponent controls agent 1.
 
 Rewards are terminal-only: +1 for a win, -1 for a loss or a timeout tie.
-The terminal info dict carries the classified outcome and, when replay
-recording is on, the full action log.
+The terminal info dict carries the classified outcome and the episode's
+replay: the board seed and the list of (learner, opponent) action pairs,
+which `save_replay` writes and `replay_board` re-simulates.
 """
 
 from __future__ import annotations
@@ -22,13 +23,12 @@ OPPONENTS = ("static", "rulebased")
 
 class MiniBomber(Environment):
     def __init__(self, n: int = 8, opponent: str = "static",
-                 step_cap: int = DEFAULT_STEP_CAP, record_actions: bool = False):
+                 step_cap: int = DEFAULT_STEP_CAP):
         if opponent not in OPPONENTS:
             raise ValueError(f"unknown opponent {opponent!r}")
         self.n = n
         self.opponent = opponent
         self.step_cap = step_cap
-        self.record_actions = record_actions
         self.board: BomberBoard | None = None
         self.reset_seed: int | None = None
         self.action_log: list[tuple[int, int]] = []
@@ -41,13 +41,10 @@ class MiniBomber(Environment):
         # A fresh child seed per episode makes each board reconstructible
         # from (seed, action log) alone.
         self.reset_seed = int(rng.integers(0, 2 ** 63 - 1))
-        self.board = self._board_from_seed(self.reset_seed)
+        self.board = generate_board(np.random.default_rng(self.reset_seed), n=self.n,
+                                    step_cap=self.step_cap)
         self.action_log = []
         return encode_observation(self.board, 0)
-
-    def _board_from_seed(self, seed: int) -> BomberBoard:
-        return generate_board(np.random.default_rng(seed), n=self.n,
-                              step_cap=self.step_cap)
 
     def _opponent_action(self, rng: np.random.Generator) -> int:
         if self.opponent == "static":
@@ -59,14 +56,11 @@ class MiniBomber(Environment):
             raise RuntimeError("step on terminated episode")
         opp = self._opponent_action(rng)
         self.board.step((int(action), opp))
-        if self.record_actions:
-            self.action_log.append((int(action), opp))
+        self.action_log.append((int(action), opp))
         obs = encode_observation(self.board, 0)
         if self.board.done:
-            outcome = classify_outcome(self.board)
-            reward = self.board.terminal_reward()
-            info = {"outcome": outcome}
-            if self.record_actions:
-                info["replay"] = (self.reset_seed, list(self.action_log))
-            return obs, reward, True, info
+            # The next reset starts a new log, so this one stays as it is.
+            info = {"outcome": classify_outcome(self.board),
+                    "replay": (self.reset_seed, self.action_log)}
+            return obs, self.board.terminal_reward(), True, info
         return obs, 0.0, False, {}

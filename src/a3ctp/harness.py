@@ -27,8 +27,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .envs import make_env
-from .envs.minibomber.board import classify_outcome
-from .envs.minibomber.env import MiniBomber
 from .envs.minibomber.replay import save_replay
 from .model import ModelConfig, forward_batch, sample_action
 from .nn import ParamSet
@@ -187,15 +185,12 @@ class EvalReport:
 def evaluate(checkpoint_path: str, env_name: str, episodes: int, seed: int,
              env_kwargs: dict | None = None, sample: bool = True,
              replay_dir: str | None = None) -> EvalReport:
-    """Roll out a trained checkpoint; outcome attribution for bomberman,
-    plain reward statistics otherwise. Raises ValueError unless the
+    """Roll out a trained checkpoint: reward and length statistics, a tally
+    of the outcomes that terminal infos carry (bomberman), and, with
+    replay_dir, each replay they carry. Raises ValueError unless the
     checkpoint's tensor names and shapes are exactly those of the network
     for this environment (its hidden widths read from the checkpoint)."""
-    env_kwargs = dict(env_kwargs or {})
-    is_bomber = env_name.startswith("minibomber")
-    if is_bomber and replay_dir is not None:
-        env_kwargs["record_actions"] = True
-    env = make_env(env_name, **env_kwargs)
+    env = make_env(env_name, **(env_kwargs or {}))
     spec = env.spec()
     params = ParamSet.load(checkpoint_path)
     hidden = _infer_hidden(params)
@@ -222,14 +217,14 @@ def evaluate(checkpoint_path: str, env_name: str, episodes: int, seed: int,
             steps += 1
         rewards.append(total)
         lengths.append(steps)
-        if is_bomber:
+        if "outcome" in info:
             outcome = info["outcome"]
             counts[outcome.result] = counts.get(outcome.result, 0) + 1
             counts[outcome.cause] = counts.get(outcome.cause, 0) + 1
-            if replay_dir is not None:
-                rseed, actions = info["replay"]
-                save_replay(os.path.join(replay_dir, f"ep{ep:05d}.replay"),
-                            env.n, env.step_cap, rseed, actions)
+        if replay_dir is not None and "replay" in info:
+            rseed, actions = info["replay"]
+            save_replay(os.path.join(replay_dir, f"ep{ep:05d}.replay"),
+                        env.n, env.step_cap, rseed, actions)
     return EvalReport(
         episodes=episodes,
         mean_reward=float(np.mean(rewards)) if rewards else 0.0,

@@ -174,10 +174,7 @@ class RunConfig:
         return tuple(int(x) for x in self.hidden.split(",") if x)
 
     def env_kwargs(self) -> dict:
-        kw = {"size": self.env_size}
-        if self.env_max_steps > 0:
-            kw["max_steps"] = self.env_max_steps
-        return kw
+        return {"size": self.env_size, "max_steps": self.env_max_steps}
 
     @classmethod
     def parsers(cls) -> dict:

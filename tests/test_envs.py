@@ -126,3 +126,20 @@ class TestMakeEnv:
     def test_unknown_rejected(self):
         with pytest.raises(ValueError):
             make_env("atari")
+
+    @pytest.mark.parametrize("name", ["gridgoal", "polebalance", "minibomber-static"])
+    @pytest.mark.parametrize("size", [0, -3])
+    def test_size_below_one_rejected(self, name, size):
+        with pytest.raises(ValueError, match="size must be at least 1"):
+            make_env(name, size=size)
+
+    @pytest.mark.parametrize("name, default", [
+        ("gridgoal", 4 * 5 * 5), ("polebalance", 200), ("minibomber-static", 800)])
+    def test_max_steps_zero_or_absent_is_the_env_default(self, name, default):
+        assert make_env(name, size=5).spec().max_steps == default
+        assert make_env(name, size=5, max_steps=0).spec().max_steps == default
+        assert make_env(name, size=5, max_steps=7).spec().max_steps == 7
+
+    def test_negative_max_steps_rejected(self):
+        with pytest.raises(ValueError, match="max_steps must be nonnegative"):
+            make_env("polebalance", max_steps=-1)

@@ -410,6 +410,9 @@ class TestEvaluate:
                       for k in ("win", "loss", "tie"))
         assert results == 3
         assert len(os.listdir(rdir)) == 3
+        # Writing replays reads the env's replay and leaves the episodes as they are.
+        assert evaluate(ckpt, "minibomber-static", episodes=3, seed=0,
+                        env_kwargs={"size": 6}) == report
 
 
 class TestCli:
@@ -449,3 +452,10 @@ class TestCli:
                        "--env-size", "4", "--episodes", "2"])
         assert rc == 0
         assert "mean_reward" in capsys.readouterr().out
+
+    def test_evaluate_rejects_env_size_below_one(self, tmp_path):
+        params = init_model(ModelConfig(64, 4, (8,)), np.random.default_rng(0))
+        ckpt = str(tmp_path / "m.ckpt")
+        params.save(ckpt)
+        with pytest.raises(ValueError, match="size must be at least 1"):
+            cli_main(["evaluate", ckpt, "--env", "gridgoal", "--env-size", "0"])

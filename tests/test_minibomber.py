@@ -1,6 +1,9 @@
 """MiniBomber tests: scripted dynamics traces, board generation, the
 22-channel observation encoding, opponents, serialization, and replays."""
 
+import hashlib
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,6 +27,45 @@ from minibomber_traces import TRACES, _safe_neighbors, empty_board
 @pytest.mark.parametrize("trace", TRACES, ids=lambda t: t.__name__)
 def test_dynamics_trace(trace):
     trace()
+
+
+# sha256 of board_to_text after every step, and of each final outcome and
+# killers, over the 300 games of _play_pinned_games.
+DYNAMICS_SHA256 = "3cedd33bb072d5c60aaea082d6f7315edc0b5712a2dab48a5c35acb26a252818"
+
+
+def _play_pinned_games(games=300):
+    """Random play on 6x6, 8x8 and 10x10 boards with three step caps; on odd
+    games both agents start able to kick, with three bombs each. Returns the
+    digest and a tally of chain steps (a bomb goes off before its timer
+    runs out), kick steps (a bomb moves) and outcome causes."""
+    digest = hashlib.sha256()
+    seen = Counter()
+    for game in range(games):
+        rng = np.random.default_rng(game)
+        board = generate_board(rng, n=(6, 8, 10)[game % 3], step_cap=(20, 60, 150)[game % 5 % 3])
+        if game % 2:
+            for agent in board.agents:
+                agent.can_kick, agent.ammo = True, 3
+        while not board.done:
+            before = {id(x): (x.timer, x.row, x.col) for x in board.bombs}
+            board.step((int(rng.integers(0, 6)), int(rng.integers(0, 6))))
+            after = {id(x): (x.row, x.col) for x in board.bombs}
+            seen["chain"] += any(t > 1 and k not in after for k, (t, _, _) in before.items())
+            seen["kick"] += any(after.get(k, (r, c)) != (r, c) for k, (_, r, c) in before.items())
+            digest.update(board_to_text(board).encode())
+        outcome = classify_outcome(board)
+        seen[outcome.cause] += 1
+        digest.update(f"{outcome.result} {outcome.cause} {board.killers}\n".encode())
+    return digest.hexdigest(), seen
+
+
+def test_dynamics_are_pinned():
+    digest, seen = _play_pinned_games()
+    assert seen["chain"] >= 50 and seen["kick"] >= 30
+    assert all(seen[cause] > 0 for cause in ("timeout", "our-suicide", "opponent-suicide",
+                                             "enemy-killed-by-our-bomb", "killed-by-enemy"))
+    assert digest == DYNAMICS_SHA256
 
 
 class TestGeneration:
@@ -237,20 +279,79 @@ class TestRuleBasedOpponent:
         assert action == LEFT  # the unique shortest-path direction along row 7
 
     def test_avoids_standing_in_danger_over_many_boards(self):
-        # never stays on a cell lethal next step when a safe neighbor exists
+        # Every sixth step a bomb about to go off is put next to the
+        # opponent, so it often stands on a cell lethal next step; there it
+        # must step onto a safe neighbour whenever one exists.
+        lethal = escapable = 0
         for seed in range(30):
             rng = np.random.default_rng(seed)
             b = generate_board(rng)
-            for _ in range(60):
+            for step in range(60):
                 if b.done:
                     break
-                a1 = rulebased_opponent(b, 1, rng)
                 me = b.agents[1]
+                spots = [cell for _, cell in b.neighbors(*me.pos)
+                         if b.open_cell(*cell) and b.agent_at(*cell) is None]
+                if step % 6 == 0 and spots:
+                    b.bombs.append(Bomb(*spots[rng.integers(len(spots))], 0, 1, 2))
+                a1 = rulebased_opponent(b, 1, rng)
                 danger = danger_map(b)
-                lethal_now = danger.get(me.pos, 99) <= 1
-                if lethal_now and a1 == STAY:
-                    assert not _safe_neighbors(b, 1, danger)
-                b.step((STAY, a1))
+                if danger.get(me.pos, 99) <= 1:
+                    lethal += 1
+                    safe = _safe_neighbors(b, 1, danger)
+                    escapable += bool(safe)
+                    assert not safe or a1 in safe
+                b.step((int(rng.integers(0, 6)), a1))
+        # The check bites only if such states occur; these floors keep it so.
+        assert lethal >= 50 and escapable >= 30
+
+
+BOARD_TEXT = """minibomber v2 n=4 step=3 cap=800 killers=-,-
+....
+.#+.
+....
+....
+agent 0 0 0 alive=1 ammo=0 radius=2 kick=0
+agent 1 3 3 alive=1 ammo=1 radius=2 kick=1
+bomb 0 1 owner=0 timer=7 radius=2 dir=0,1
+flame 2 2 life=2 owners=0,1
+powerup 3 0 kind=3
+hidden 1 2 kind=2
+end
+"""
+
+# One case per rejection in docs/formats.md: test id -> (old, new), a
+# replacement in BOARD_TEXT that makes it malformed.
+BOARD_TEXT_REJECTIONS = {
+    "header-missing-key": (" cap=800", ""),
+    "header-extra-key": ("killers=-,-", "killers=-,- seed=3"),
+    "header-not-an-int": ("step=3", "step=three"),
+    "n-below-one": ("n=4", "n=0"),
+    "killers-of-one-agent": ("killers=-,-", "killers=-"),
+    "killer-not-an-agent": ("killers=-,-", "killers=-,2"),
+    "too-few-rows": ("....\nagent 0", "agent 0"),
+    "short-row": (".#+.\n", ".#+\n"),
+    "long-row": (".#+.\n", ".#+..\n"),
+    "unknown-cell-char": (".#+.\n", ".#x.\n"),
+    "one-agent": ("agent 1 3 3 alive=1 ammo=1 radius=2 kick=1\n", ""),
+    "three-agents": ("end\n", "agent 2 1 1 alive=1 ammo=1 radius=2 kick=0\nend\n"),
+    "agents-out-of-order": ("agent 0 0 0", "agent 1 0 0"),
+    "unknown-tag": ("end\n", "wall 1 1 kind=1\nend\n"),
+    "blank-line": ("end\n", "\nend\n"),
+    "missing-end": ("end\n", ""),
+    "line-after-end": ("end\n", "end\nflame 0 0 life=1 owners=0\n"),
+    "bomb-off-the-board": ("bomb 0 1", "bomb 9 9"),
+    "flame-off-the-board": ("flame 2 2", "flame -1 2"),
+    "missing-field": (" timer=7", ""),
+    "field-without-value": ("timer=7", "timer"),
+    "fields-out-of-order": ("timer=7 radius=2", "radius=2 timer=7"),
+    "missing-cell": ("powerup 3 0", "powerup 3"),
+    "value-not-an-int": ("timer=7", "timer=x"),
+    "bad-direction": ("dir=0,1", "dir=1"),
+    "bomb-owner-not-an-agent": ("owner=0", "owner=2"),
+    "flame-owner-not-an-agent": ("owners=0,1", "owners=0,3"),
+    "powerup-kind-unknown": ("kind=3", "kind=4"),
+}
 
 
 class TestSerialization:
@@ -290,8 +391,44 @@ class TestSerialization:
         with pytest.raises(ValueError):
             board_from_text(text.replace("minibomber v2", "minibomber v3", 1))
 
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(4, 10), steps=st.integers(0, 80))
+    def test_text_round_trip_after_random_play(self, seed, n, steps):
+        rng = np.random.default_rng(seed)
+        b = generate_board(rng, n=n)
+        if seed % 2:
+            for agent in b.agents:
+                agent.can_kick, agent.ammo = True, 3
+        for _ in range(steps):
+            if b.done:
+                break
+            b.step((int(rng.integers(0, 6)), int(rng.integers(0, 6))))
+        text = board_to_text(b)
+        assert board_to_text(board_from_text(text)) == text
+
+    def test_reads_every_entity(self):
+        b = board_from_text(BOARD_TEXT)
+        assert b.grid[1].tolist() == [PASSAGE, RIGID, WOOD, PASSAGE]
+        assert [(a.pos, a.ammo, a.can_kick) for a in b.agents] == [((0, 0), 0, False),
+                                                                   ((3, 3), 1, True)]
+        assert b.bombs == [Bomb(0, 1, 0, 7, 2, (0, 1))]
+        assert b.flames == [Flame(2, 2, 2, {0, 1})]
+        assert b.visible_powerup[3, 0] == KICK and b.hidden_powerup[1, 2] == 2
+        assert board_to_text(b) == BOARD_TEXT
+
+    @pytest.mark.parametrize("old, new", list(BOARD_TEXT_REJECTIONS.values()),
+                             ids=list(BOARD_TEXT_REJECTIONS))
+    def test_malformed_text_rejected(self, old, new):
+        assert old in BOARD_TEXT
+        with pytest.raises(ValueError):
+            board_from_text(BOARD_TEXT.replace(old, new, 1))
+
+    def test_empty_text_rejected(self):
+        with pytest.raises(ValueError):
+            board_from_text("")
+
     def test_replay_bit_exact(self, tmp_path):
-        env = MiniBomber(8, opponent="rulebased", record_actions=True)
+        env = MiniBomber(8, opponent="rulebased")
         rng = np.random.default_rng(11)
         env.reset(rng)
         done = False
@@ -318,6 +455,9 @@ class TestEnvWrapper:
             _, r, done, info = env.step(STAY, rng)
         assert r == -1.0
         assert info["outcome"].cause == "our-suicide"
+        seed, actions = info["replay"]
+        assert seed == env.reset_seed and actions[0] == (BOMB, STAY)
+        assert len(actions) == env.board.step_count
 
     def test_reset_determinism_through_worker_rng(self):
         def run(seed):
