@@ -13,11 +13,11 @@ def make_env(name: str, size: int = 8, max_steps: int = 0) -> Environment:
     """Build an environment from its config name, one of ENV_NAMES, on a
     size-by-size grid or board (polebalance has none). A max_steps of 0
     means the environment's own step cap. Raises ValueError for an unknown
-    name, a size below 1 or a negative max_steps."""
+    name, a size below 2 or a negative max_steps."""
     if name not in ENV_NAMES:
         raise ValueError(f"unknown environment {name!r}")
-    if size < 1:
-        raise ValueError(f"size must be at least 1, not {size}")
+    if size < 2:
+        raise ValueError(f"size must be at least 2, not {size}")
     if max_steps < 0:
         raise ValueError(f"max_steps must be nonnegative, not {max_steps}")
     cap = (max_steps,) if max_steps else ()  # the last positional parameter of each env

@@ -2,8 +2,10 @@
 
 static_opponent always stays put. rulebased_opponent runs a fixed priority
 list each step:
-  1. move off any cell a live bomb's blast (or a lingering flame) will
-     cover, onto a safe neighbor
+  1. on a cell a live bomb's blast (or a lingering flame) will cover,
+     take the first step of a shortest path to the nearest danger-free
+     cell, a path whose cells the flames do not reach first; with no such
+     path, step onto the neighbour that burns latest
   2. place a bomb when an enemy or wood sits inside the current blast
      radius and a safe retreat cell exists
   3. walk a shortest path to the nearest visible power-up, else toward the
@@ -76,49 +78,36 @@ def _escape_route(board: BomberBoard, agent_id: int,
                   danger: dict[tuple[int, int], int]) -> list[int]:
     """First moves of shortest paths to the nearest danger-free cell.
 
-    Breadth-first search over walkable cells; a cell is not entered when
-    its flames arrive by the time the agent would. Empty when no
-    danger-free cell is reachable.
+    A breadth-first search, one level at a time. Level d + 1 holds the
+    walkable cells no earlier level reached whose flames do not arrive
+    within d + 1 steps; each maps to the distinct first moves that reach
+    it, in discovery order, where a predecessor passes on only its first
+    listed one. The search stops at the first level holding a cell absent
+    from `danger` and returns those cells' first moves, deduplicated, in
+    discovery order. Empty when no danger-free cell is reachable.
     """
-    me = board.agents[agent_id]
-    start = me.pos
-    dist = {start: 0}
-    parent_action: dict[tuple[int, int], list[int]] = {}
-    frontier = [start]
-    best_d = None
-    goals = []
-    while frontier:
-        nxt = []
-        for pos in frontier:
-            d = dist[pos]
-            if best_d is not None and d >= best_d:
-                continue
+    start = board.agents[agent_id].pos
+    seen = {start}
+    level: dict[tuple[int, int], list[int]] = {start: []}
+    d = 0
+    while level:
+        d += 1
+        nxt: dict[tuple[int, int], list[int]] = {}
+        for pos, firsts in level.items():
             for action, cell in board.neighbors(*pos):
-                if (danger.get(cell, 10 ** 9) <= d + 1  # flames beat us there
+                if (cell in seen or danger.get(cell, 10 ** 9) <= d  # flames beat us there
                         or not _walkable(board, agent_id, *cell)):
                     continue
-                if cell not in dist:
-                    dist[cell] = d + 1
-                    first = action if pos == start else parent_action[pos][0]
-                    parent_action[cell] = [first]
-                    nxt.append(cell)
-                elif dist[cell] == d + 1:
-                    first = action if pos == start else parent_action[pos][0]
-                    if first not in parent_action[cell]:
-                        parent_action[cell].append(first)
-                if cell not in danger and dist[cell] == d + 1:
-                    if best_d is None or dist[cell] < best_d:
-                        best_d = dist[cell]
-                        goals = [cell]
-                    elif dist[cell] == best_d and cell not in goals:
-                        goals.append(cell)
-        frontier = nxt
-    moves: list[int] = []
-    for g in goals:
-        for a in parent_action.get(g, []):
-            if a not in moves:
-                moves.append(a)
-    return moves
+                first = firsts[0] if firsts else action  # the start has no first move
+                moves = nxt.setdefault(cell, [])
+                if first not in moves:
+                    moves.append(first)
+        safe = [m for cell, moves in nxt.items() if cell not in danger for m in moves]
+        if safe:
+            return list(dict.fromkeys(safe))
+        seen.update(nxt)
+        level = nxt
+    return []
 
 
 def _has_retreat_after_bombing(board: BomberBoard, agent_id: int,

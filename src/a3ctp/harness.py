@@ -67,15 +67,16 @@ def run_experiment(config: RunConfig) -> str:
 
 def sweep_lambda_tp(base: RunConfig, values, seeds) -> list[str]:
     """Grid of runs: one directory per (lambda_tp value, seed), sharing the
-    base config. Duplicate values are a config error."""
+    base config. Two pairs that name one directory (a repeated value or
+    seed, or values equal under `:g`) are a config error, raised, like a
+    rejected value, before any run."""
     values = list(values)
     if not values:
         raise ValueError("sweep needs at least one value")
-    if len(set(values)) != len(values):
-        raise ValueError("duplicate lambda_tp values in sweep")
     configs = [replace(base, lambda_tp=v, seed=s, algorithm="a3c-tp",
                        out_dir=os.path.join(base.out_dir, f"tp{v:g}_seed{s}"))
-               for v in values for s in seeds]  # a rejected value raises before any run
+               for v in values for s in seeds]
+    _reject_repeats((cfg.out_dir for cfg in configs), "two sweep runs share the directory {}")
     run_dirs = []
     failures = []
     for cfg in configs:
@@ -87,6 +88,17 @@ def sweep_lambda_tp(base: RunConfig, values, seeds) -> list[str]:
         detail = "; ".join(f"{d}: {e}" for d, e in failures)
         raise RuntimeError(f"sweep had partial failures: {detail}")
     return run_dirs
+
+
+def _reject_repeats(dirs, problem: str) -> None:
+    """Raise ValueError, `problem` formatted with the directory, at the
+    first of `dirs` that names a directory listed before it."""
+    seen = set()
+    for d in dirs:
+        key = os.path.realpath(d)
+        if key in seen:
+            raise ValueError(problem.format(d))
+        seen.add(key)
 
 
 def read_metrics(run_dir: str) -> dict[str, np.ndarray]:
@@ -128,10 +140,12 @@ def summarize(run_dirs, threshold: float) -> list[GroupSummary]:
     are ignored so one lucky opening episode cannot count as a crossing);
     runs that never cross report their episode budget and a censored flag.
     Result order is deterministic and independent of the order run
-    directories are supplied.
+    directories are supplied. A directory listed twice is an error: it
+    would count as two runs.
     """
     if not run_dirs:
         raise ValueError("need at least one run directory")
+    _reject_repeats(run_dirs, "run directory {} is listed twice")
     groups: dict[tuple, list[tuple[str, RunConfig]]] = {}
     for d in run_dirs:
         cfg = RunConfig.load(os.path.join(d, "config.txt"))

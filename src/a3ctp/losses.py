@@ -49,7 +49,8 @@ class LossWeights:
     t_max: int = 20
 
     def __post_init__(self):
-        if min(self.lambda_v, self.lambda_pi, self.lambda_h, self.lambda_tp) < 0:
+        if not all(w >= 0 for w in (self.lambda_v, self.lambda_pi, self.lambda_h,
+                                    self.lambda_tp)):  # nan fails too
             raise ValueError("loss weights must be nonnegative")
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError("gamma must lie in [0, 1]")

@@ -113,7 +113,7 @@ ALGORITHMS = ("a3c", "a3c-tp")
 class RunConfig:
     """Everything one training run is made of; `config.txt` holds one line
     per field. Rejects, with ValueError, an unknown env or algorithm, a
-    board size below 1, a `hidden` that is not comma-separated widths of at
+    board size below 2, a `hidden` that is not comma-separated widths of at
     least 1, fewer than one worker, a moving window shorter than one
     episode, a negative (or nan) value of a `_NONNEGATIVE` field, and any
     loss weight LossWeights rejects."""
@@ -145,8 +145,8 @@ class RunConfig:
             raise ValueError(f"env must be one of {ENV_NAMES}, not {self.env!r}")
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"algorithm must be one of {ALGORITHMS}")
-        if self.env_size < 1:
-            raise ValueError(f"env_size must be at least 1, not {self.env_size}")
+        if self.env_size < 2:
+            raise ValueError(f"env_size must be at least 2, not {self.env_size}")
         try:
             widths_ok = all(h >= 1 for h in self.hidden_sizes())
         except ValueError:

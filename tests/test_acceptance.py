@@ -13,7 +13,7 @@ import pytest
 from a3ctp.envs.gridgoal import GridGoal
 from a3ctp.envs.minibomber.board import (
     BOMB, BOMB_TIMER, DEFAULT_STEP_CAP, FLAME_LIFETIME, PASSAGE, STAY,
-    AgentState, BomberBoard, generate_board,
+    AgentState, Bomb, BomberBoard, generate_board,
 )
 from a3ctp.envs.minibomber.opponents import danger_map, rulebased_opponent
 from a3ctp.harness import (
@@ -247,20 +247,32 @@ def test_criterion_09_rulebased_opponent():
         path_ok = path_ok and nxt_dist == dist[goal] - 1
 
     # safety: across 50 generated boards it never stays on a cell its own
-    # blast map marks lethal next step while a safe neighbor exists
+    # blast map marks lethal next step while a safe neighbor exists. Every
+    # fifth step a learner bomb about to go off is put next to it, so such
+    # cells occur; the floors on their counts keep the check biting.
     safety_ok = True
+    lethal = escapable = 0
     for seed in range(50):
         rng = np.random.default_rng(1000 + seed)
         b = generate_board(rng)
-        for _ in range(40):
+        for step in range(40):
             if b.done:
                 break
+            me = b.agents[1]
+            spots = [cell for _, cell in b.neighbors(*me.pos)
+                     if b.open_cell(*cell) and b.agent_at(*cell) is None]
+            if step % 5 == 0 and spots:
+                b.bombs.append(Bomb(*spots[rng.integers(len(spots))], 0, 1, 2))
             action = rulebased_opponent(b, 1, rng)
             danger = danger_map(b)
-            if (danger.get(b.agents[1].pos, 99) <= 1 and action in (STAY, BOMB)
-                    and _safe_neighbors(b, 1, danger)):
-                safety_ok = False
+            if danger.get(me.pos, 99) <= 1:
+                lethal += 1
+                safe = _safe_neighbors(b, 1, danger)
+                escapable += bool(safe)
+                if action in (STAY, BOMB) and safe:
+                    safety_ok = False
             b.step((STAY, action))
+    safety_ok = safety_ok and lethal >= 100 and escapable >= 60
     _verdict(9, "rule-based opponent pathing and safety", path_ok and safety_ok)
 
 

@@ -128,9 +128,11 @@ class TestMakeEnv:
             make_env("atari")
 
     @pytest.mark.parametrize("name", ["gridgoal", "polebalance", "minibomber-static"])
-    @pytest.mark.parametrize("size", [0, -3])
+    @pytest.mark.parametrize("size", [0, -3, 1])
     def test_size_below_one_rejected(self, name, size):
-        with pytest.raises(ValueError, match="size must be at least 1"):
+        # A side of 1 is rejected too: both minibomber agents would spawn
+        # on one cell, and the gridgoal start would be its goal.
+        with pytest.raises(ValueError, match="size must be at least 2"):
             make_env(name, size=size)
 
     @pytest.mark.parametrize("name, default", [

@@ -109,10 +109,13 @@ class TestRunConfig:
         (["--lambda-h", "-0.01"], "nonnegative"),
         (["--lambda-tp", "-0.5"], "nonnegative"),
         (["--algorithm", "a3c", "--lambda-tp", "-0.5"], "nonnegative"),
+        (["--lambda-v", "nan"], "nonnegative"),
+        (["--lambda-tp", "nan"], "nonnegative"),
         (["--hidden", "8,x"], "hidden"),
         (["--hidden", "8,0"], "hidden"),
         (["--env", "nosuch"], "env must be one of"),
         (["--env-size", "0"], "env_size"),
+        (["--env-size", "1"], "env_size must be at least 2"),
         (["--env-max-steps", "-1"], "env_max_steps"),
         (["--lr", "-1"], "lr must be nonnegative"),
         (["--lr", "nan"], "lr must be nonnegative"),
@@ -120,8 +123,9 @@ class TestRunConfig:
         (["--episode-budget", "-5"], "episode_budget"),
         (["--checkpoint-cadence", "-2"], "checkpoint_cadence"),
     ], ids=["moving-window-0", "t-max-0", "gamma-above-1", "gamma-below-0", "lambda-v",
-            "lambda-pi", "lambda-h", "lambda-tp", "lambda-tp-of-plain-a3c", "hidden-not-a-number",
-            "hidden-width-0", "env-unknown", "env-size-0", "env-max-steps-negative",
+            "lambda-pi", "lambda-h", "lambda-tp", "lambda-tp-of-plain-a3c", "lambda-v-nan",
+            "lambda-tp-nan", "hidden-not-a-number", "hidden-width-0", "env-unknown", "env-size-0",
+            "env-size-1", "env-max-steps-negative",
             "lr-negative", "lr-nan", "clip-norm-negative", "episode-budget-negative",
             "checkpoint-cadence-negative"])
     def test_rejected_value_writes_no_file(self, tmp_path, args, problem):
@@ -158,7 +162,7 @@ class TestRunConfig:
         weight = st.floats(min_value=0.0, allow_nan=False)
         count = st.integers(0, 10**12)
         widths = st.lists(st.integers(1, 4096), max_size=4).map(lambda w: ",".join(map(str, w)))
-        valid = {"env": st.sampled_from(ENV_NAMES), "env_size": st.integers(1, 10**12),
+        valid = {"env": st.sampled_from(ENV_NAMES), "env_size": st.integers(2, 10**12),
                  "env_max_steps": count, "hidden": widths, "episode_budget": count,
                  "checkpoint_cadence": count, "lr": weight, "clip_norm": weight,
                  "algorithm": st.sampled_from(harness.ALGORITHMS), "workers": st.integers(1, 64),
@@ -276,6 +280,18 @@ class TestSweep:
             sweep_lambda_tp(base, [0.5, -1.0], [0])
         assert not os.path.exists(base.out_dir)
 
+    def test_rejects_a_repeated_seed_before_any_run(self, tmp_path):
+        base = small_config(tmp_path)
+        with pytest.raises(ValueError, match="share the directory .*tp0.5_seed0"):
+            sweep_lambda_tp(base, [0.5], [0, 0])
+        assert not os.path.exists(base.out_dir)
+
+    def test_rejects_values_equal_under_g_before_any_run(self, tmp_path):
+        base = small_config(tmp_path)
+        with pytest.raises(ValueError, match="share the directory .*tp0.1_seed0"):
+            sweep_lambda_tp(base, [0.1, 0.1000001], [0])
+        assert not os.path.exists(base.out_dir)
+
 
 def _write_fake_run(root, name, rewards, window=3, budget=None, **cfg_kw):
     """Hand-built run directory with a known reward trajectory."""
@@ -326,6 +342,13 @@ class TestSummarize:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             summarize([], threshold=0.5)
+
+    def test_rejects_a_directory_listed_twice(self, tmp_path):
+        d = _write_fake_run(str(tmp_path), "s0", [1.0, 0.0], seed=0)
+        other = _write_fake_run(str(tmp_path), "s1", [1.0, 0.0], seed=1)
+        for dirs in ([d, d], [d, other, os.path.join(d, "")]):
+            with pytest.raises(ValueError, match="listed twice"):
+                summarize(dirs, threshold=0.5)
 
     def test_reads_each_config_once(self, tmp_path, monkeypatch):
         dirs = [_write_fake_run(str(tmp_path), f"s{i}", [1.0, 0.0], seed=i) for i in range(3)]
@@ -457,5 +480,6 @@ class TestCli:
         params = init_model(ModelConfig(64, 4, (8,)), np.random.default_rng(0))
         ckpt = str(tmp_path / "m.ckpt")
         params.save(ckpt)
-        with pytest.raises(ValueError, match="size must be at least 1"):
-            cli_main(["evaluate", ckpt, "--env", "gridgoal", "--env-size", "0"])
+        for size in ("0", "1"):
+            with pytest.raises(ValueError, match="size must be at least 2"):
+                cli_main(["evaluate", ckpt, "--env", "gridgoal", "--env-size", size])

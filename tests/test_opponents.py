@@ -1,15 +1,20 @@
-"""Rule-based opponent regression: its action stream over seeded games is
-pinned, so a rewrite of its search must choose exactly the same moves."""
+"""Rule-based opponent regression: its action stream and its escape
+searches over seeded games are pinned, so a rewrite of its search must
+choose exactly the same moves."""
 
 import hashlib
 
 import numpy as np
 
 from a3ctp.envs.minibomber.board import generate_board
-from a3ctp.envs.minibomber.opponents import rulebased_opponent
+from a3ctp.envs.minibomber.opponents import _escape_route, danger_map, rulebased_opponent
 
 # sha256 of the opponent's actions, one byte each, over games 0..49 below.
 ACTION_STREAM_SHA256 = "0ba56f1a875d6b38c48b611f5fe7f8f1ff8b437c9a08239f23471993dfbdddfb"
+
+# sha256 of every `_escape_route` result, as its moves' bytes then b"|",
+# over games 0..299 in test_escape_routes_are_pinned.
+ESCAPE_ROUTES_SHA256 = "e57db38f447853418b80d87e554f5a6b36fd45eafa3913d9b947dc8bd97b0603"
 
 
 def test_action_stream_is_pinned():
@@ -23,3 +28,32 @@ def test_action_stream_is_pinned():
             digest.update(bytes([action]))
             board.step((int(learner.integers(0, 6)), action))
     assert digest.hexdigest() == ACTION_STREAM_SHA256
+
+
+def test_escape_routes_are_pinned():
+    # Before each step, each live agent searches twice: on the board's
+    # danger map, and on that map plus its own blast at timer 10, the map
+    # _has_retreat_after_bombing searches. Most of these searches return a
+    # route and many return several moves, so the order is pinned too.
+    digest = hashlib.sha256()
+    routes = 0
+    for game in range(300):
+        board = generate_board(np.random.default_rng(game), n=(6, 8, 10)[game % 3])
+        learner = np.random.default_rng(10_000 + game)
+        opponent_rng = np.random.default_rng(20_000 + game)
+        while not board.done:
+            danger = danger_map(board)
+            for aid, me in enumerate(board.agents):
+                if not me.alive:
+                    continue
+                with_mine = dict(danger)
+                for cell in board.blast_cells(me.row, me.col, me.blast_radius):
+                    with_mine[cell] = min(with_mine.get(cell, 10 ** 9), 10)
+                for d in (danger, with_mine):
+                    route = _escape_route(board, aid, d)
+                    routes += bool(route)
+                    digest.update(bytes(route) + b"|")
+            action = rulebased_opponent(board, 1, opponent_rng)
+            board.step((int(learner.integers(0, 6)), action))
+    assert routes >= 20_000
+    assert digest.hexdigest() == ESCAPE_ROUTES_SHA256
