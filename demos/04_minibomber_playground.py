@@ -36,7 +36,6 @@ while not done:
 print(f"random learner vs rule-based: reward {reward}, "
       f"{info['outcome'].result} by {info['outcome'].cause}")
 
-seed, actions = info["replay"]
-final = replay_board(env.n, env.step_cap, seed, actions)
+final = replay_board(*info["replay"])
 print("replay reproduces the final board bit-exactly:",
       board_to_text(final) == board_to_text(env.board))

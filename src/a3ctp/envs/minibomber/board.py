@@ -115,9 +115,12 @@ def _neighbor_table(n: int) -> tuple[tuple[Neighbors, ...], ...]:
 
 
 class BomberBoard:
-    """Full mutable board state for one episode."""
+    """Full mutable board state for one episode. Raises ValueError for a
+    side n below 2, on which both agents would start on one cell."""
 
     def __init__(self, n: int = 8, step_cap: int = DEFAULT_STEP_CAP):
+        if n < 2:
+            raise ValueError(f"board side must be at least 2, not {n}")
         self.n = n
         self.step_cap = step_cap
         self.grid = np.zeros((n, n), dtype=np.int8)
@@ -503,8 +506,8 @@ def board_from_text(text: str) -> BomberBoard:
     v2 = head[1] == "v2"
     kv = _key_values(lines[0], head[2:], ("n", "step", "cap") + (("killers",) if v2 else ()))
     n = int(kv["n"])
-    if n < 1 or lines[-1] != "end" or len(lines) < n + 2:
-        raise ValueError(f"board text needs n >= 1, {n} rows and one last end line")
+    if n < 2 or lines[-1] != "end" or len(lines) < n + 2:
+        raise ValueError(f"board text needs n >= 2, {n} rows and one last end line")
     board = BomberBoard(n, step_cap=int(kv["cap"]))
     board.step_count = int(kv["step"])
     if v2:

@@ -3,8 +3,10 @@ controls agent 0, the configured opponent controls agent 1.
 
 Rewards are terminal-only: +1 for a win, -1 for a loss or a timeout tie.
 The terminal info dict carries the classified outcome and the episode's
-replay: the board seed and the list of (learner, opponent) action pairs,
-which `save_replay` writes and `replay_board` re-simulates.
+replay record (n, step_cap, seed, actions): the board side and step cap,
+the board seed and the list of (learner, opponent) action pairs. It is the
+tuple `load_replay` returns and the arguments `save_replay` and
+`replay_board` take.
 """
 
 from __future__ import annotations
@@ -61,6 +63,6 @@ class MiniBomber(Environment):
         if self.board.done:
             # The next reset starts a new log, so this one stays as it is.
             info = {"outcome": classify_outcome(self.board),
-                    "replay": (self.reset_seed, self.action_log)}
+                    "replay": (self.n, self.step_cap, self.reset_seed, self.action_log)}
             return obs, self.board.terminal_reward(), True, info
         return obs, 0.0, False, {}

@@ -12,7 +12,8 @@ list each step:
      nearest reachable wood or the enemy
   4. stay put
 Candidate moves come in the board's neighbour order (up, down, left,
-right), and the injected rng picks among equally good moves.
+right), and the caller's rng picks among equally good moves; it is
+required, since one fixed seed per call would break every tie alike.
 
 Every cell rule is the board's: `BomberBoard.open_cell` says whether a
 cell can be entered and `BomberBoard.neighbors` lists a cell's neighbours.
@@ -133,12 +134,10 @@ def _bomb_worth_placing(board: BomberBoard, agent_id: int) -> bool:
     return False
 
 
-def rulebased_opponent(board: BomberBoard, agent_id: int = 1,
-                       rng: np.random.Generator | None = None) -> int:
+def rulebased_opponent(board: BomberBoard, agent_id: int, rng: np.random.Generator) -> int:
     me = board.agents[agent_id]
     if not me.alive:
         return STAY
-    rng = rng or np.random.default_rng(0)
     danger = danger_map(board)
 
     # (1) escape danger

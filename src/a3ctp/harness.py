@@ -69,10 +69,10 @@ def sweep_lambda_tp(base: RunConfig, values, seeds) -> list[str]:
     """Grid of runs: one directory per (lambda_tp value, seed), sharing the
     base config. Two pairs that name one directory (a repeated value or
     seed, or values equal under `:g`) are a config error, raised, like a
-    rejected value, before any run."""
-    values = list(values)
-    if not values:
-        raise ValueError("sweep needs at least one value")
+    rejected value or an empty list of values or seeds, before any run."""
+    values, seeds = list(values), list(seeds)
+    if not values or not seeds:
+        raise ValueError("sweep needs at least one value and one seed")
     configs = [replace(base, lambda_tp=v, seed=s, algorithm="a3c-tp",
                        out_dir=os.path.join(base.out_dir, f"tp{v:g}_seed{s}"))
                for v in values for s in seeds]
@@ -236,9 +236,7 @@ def evaluate(checkpoint_path: str, env_name: str, episodes: int, seed: int,
             counts[outcome.result] = counts.get(outcome.result, 0) + 1
             counts[outcome.cause] = counts.get(outcome.cause, 0) + 1
         if replay_dir is not None and "replay" in info:
-            rseed, actions = info["replay"]
-            save_replay(os.path.join(replay_dir, f"ep{ep:05d}.replay"),
-                        env.n, env.step_cap, rseed, actions)
+            save_replay(os.path.join(replay_dir, f"ep{ep:05d}.replay"), *info["replay"])
     return EvalReport(
         episodes=episodes,
         mean_reward=float(np.mean(rewards)) if rewards else 0.0,

@@ -17,26 +17,28 @@ thread, over two anonymous shared-memory buffers made before the fork: its
 parameters and its gradients. Per update it copies its clipped gradients
 into its buffer and sends one message, which carries the finished
 episode's length, reward and mean losses when the update ended one. The
-parent applies the update, which writes the new parameters into the
-worker's buffer, books the episode with its wall time, and replies with
-the horizon, the version and whether to stop. Any failure, in a worker or in the parent,
-terminates and joins every worker before `train` raises.
+parent books the update, which writes the new parameters into the
+worker's buffer, and replies with the horizon, the version and whether to
+stop. Any failure, in a worker or in the parent, terminates and joins
+every worker before `train` raises.
 
-Only three things run under the lock: the Adam step over the flat
+An update holds the lock for only three things: the Adam step over the flat
 parameter buffer, the version bump, and an `np.copyto` of the new global
 buffer into the worker's own local buffer. Clipping runs once per update,
 in compute_update, before the lock is taken, and nothing is allocated
 inside it.
 
-A finished episode is booked once, by `GlobalStore.finish_episode`, under
-the same lock: its length goes to the one TPLabeler (so terminal-prediction
-targets are computable at rollout time, before an episode finishes), it
-takes the next episode index, and its reward joins the one trailing window
-that both the `moving_avg_reward` column and early stopping read. Within
-the episode budget it also hands the episode's MetricsRow to the caller's
-`on_episode`, so rows arrive in index order, and copies the parameters
-when a periodic checkpoint is due; the file is written after the lock is
-released.
+The store is built once per run, from the run's `RunConfig`, and
+`GlobalStore.book` is the one call both worker paths make per update. It
+applies the update, and when the update ended an episode it books the
+episode under the same lock: its length goes to the one TPLabeler (so
+terminal-prediction targets are computable at rollout time, before an
+episode finishes), it takes the next episode index, and its reward joins
+the one trailing window that both the `moving_avg_reward` column and early
+stopping read. Within the episode budget it also hands the episode's
+MetricsRow, with its wall time since the store was built, to `on_episode`,
+so rows arrive in index order, and copies the parameters when a periodic
+checkpoint is due; the file is written after the lock is released.
 
 A run is described by one `RunConfig`, which `train` reads directly. The
 trainer computes the loss parts nowhere itself: `losses.loss_parts` does,
@@ -227,19 +229,26 @@ class RunConfig:
 
 
 class GlobalStore:
-    """Shared parameters, optimizer state, and the run's episode ledger.
+    """Shared parameters, optimizer state, and the episode ledger of the one
+    run that `cfg` describes: its reward window, episode budget, early-stop
+    target and checkpoint cadence all come from cfg.
 
     Snapshot reads copy under the lock; updates are serialized through
-    apply_and_sync, and finished episodes through finish_episode.
+    apply_and_sync, which `book` calls for every update.
     version increases by exactly one per applied update.
     """
 
-    def __init__(self, params: ParamSet, optimizer: AdamState, window: int = 100):
+    def __init__(self, params: ParamSet, optimizer: AdamState, cfg: RunConfig,
+                 on_episode=None, checkpoint_dir: str | None = None):
         self.params = params
         self.optimizer = optimizer
+        self.cfg = cfg
+        self.on_episode = on_episode
+        self.checkpoint_dir = checkpoint_dir
         self.labeler = TPLabeler()
         self.episode_count = 0
-        self.rewards: deque[float] = deque(maxlen=window)  # the trailing reward window
+        self.rewards: deque[float] = deque(maxlen=cfg.moving_window)  # the trailing reward window
+        self.start_time = time.monotonic()
         self._lock = threading.Lock()
 
     @property
@@ -261,35 +270,43 @@ class GlobalStore:
             local.version = self.params.version
         return local
 
-    def finish_episode(self, cfg: RunConfig, on_episode, worker_id: int, length: int,
-                       reward: float, losses: LossParts, wall_time: float,
-                       checkpoint_dir: str | None = None):
-        """Book one finished episode, all under the lock: record its length in
-        the labeler, take the next index, and append its reward to the
-        trailing window. Within the budget, hand its MetricsRow to
-        on_episode (when given) and, with a checkpoint_dir, copy the params
-        when a checkpoint is due. Returns (index, params copy or None,
-        whether to stop): stop once the budget is reached or a full
-        window's mean reaches cfg.early_stop_reward (never, when it is nan)."""
+    def book(self, worker_id: int, grads: ParamSet, local: ParamSet, episode):
+        """Book one update of worker `worker_id`: apply it through
+        apply_and_sync, leaving the new parameters in `local`. When it ended
+        an episode (episode = (length, reward, mean LossParts), else None),
+        book that too, all under the lock: record its length in the labeler,
+        take the next index, and append its reward to the trailing window.
+        Within the budget, hand its MetricsRow to on_episode (when given)
+        and, with a checkpoint_dir, copy the params when a checkpoint is
+        due; the copy is written after the lock is released. Returns the
+        horizon for the worker's next update and whether to stop: once the
+        budget is reached or a full window's mean reaches
+        cfg.early_stop_reward (never, when it is nan)."""
+        self.apply_and_sync(grads, local)
+        if episode is None:
+            return self.labeler.horizon, False
+        length, reward, losses = episode
+        cfg, checkpoint = self.cfg, None
         with self._lock:
             self.labeler.record_episode(length)
             self.episode_count += 1
             index = self.episode_count
             self.rewards.append(reward)
             mean = sum(self.rewards) / len(self.rewards)
-            checkpoint = None
             if index <= cfg.episode_budget:
-                if on_episode is not None:
-                    on_episode(MetricsRow(
+                if self.on_episode is not None:
+                    self.on_episode(MetricsRow(
                         worker_id, index, length, reward, self.labeler.horizon,
                         losses.policy_loss, losses.value_loss, losses.tp_loss,
-                        losses.entropy, mean, wall_time))
-                if (checkpoint_dir is not None and cfg.checkpoint_cadence > 0
+                        losses.entropy, mean, time.monotonic() - self.start_time))
+                if (self.checkpoint_dir is not None and cfg.checkpoint_cadence > 0
                         and index % cfg.checkpoint_cadence == 0):
                     checkpoint = self.params.copy()
             full = len(self.rewards) == self.rewards.maxlen
             stop = index >= cfg.episode_budget or (full and mean >= cfg.early_stop_reward)
-            return index, checkpoint, stop
+        if checkpoint is not None:
+            checkpoint.save(f"{self.checkpoint_dir}/ep{index:08d}.ckpt")
+        return self.labeler.horizon, stop
 
 
 def collect_rollout(params: ParamSet, cfg: ModelConfig, env: Environment,
@@ -359,15 +376,17 @@ def train(cfg: RunConfig, env_factory, on_episode=None,
     env_factory(worker_id) -> Environment, one private instance per worker,
     made in the worker; the network's input and output sizes come from
     env_factory(0).spec(), its hidden widths from cfg.hidden. The cfg.env
-    fields are not read here. on_episode(row), when given, is called with
-    the MetricsRow of each episode within the budget, in episode order,
-    from the calling thread, under the store's lock. With a checkpoint_dir,
-    a checkpoint is written every cfg.checkpoint_cadence episodes and
-    final.ckpt at the end. With one worker the worker runs in the calling
-    thread; with more, each runs in a forked process and the calling
-    thread serves their updates. Any failure stops every worker and raises
-    RuntimeError("worker failed") from its cause, after the final
-    checkpoint is written. Returns the GlobalStore with final parameters.
+    fields are not read here. The run's one GlobalStore is built from cfg,
+    on_episode and checkpoint_dir, and books every update: on_episode(row),
+    when given, is called with the MetricsRow of each episode within the
+    budget, in episode order, from the calling thread, under the store's
+    lock. With a checkpoint_dir, a checkpoint is written every
+    cfg.checkpoint_cadence episodes and final.ckpt at the end. With one
+    worker the worker runs in the calling thread; with more, each runs in a
+    forked process and the calling thread serves their updates. Any failure
+    stops every worker and raises RuntimeError("worker failed") from its
+    cause, after the final checkpoint is written. Returns the GlobalStore
+    with final parameters.
     """
     env0 = env_factory(0)
     spec = env0.spec()
@@ -377,23 +396,8 @@ def train(cfg: RunConfig, env_factory, on_episode=None,
         os.makedirs(checkpoint_dir, exist_ok=True)
     seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.workers + 1)
     params = init_model(model, np.random.default_rng(seeds[0]))
-    store = GlobalStore(params, AdamState.for_params(params, lr=cfg.lr), cfg.moving_window)
-    start_time = time.monotonic()
-
-    def book(wid: int, grads: ParamSet, local: ParamSet, episode):
-        """Apply one worker's update, syncing `local`; when the update ended
-        an episode (episode = (length, reward, mean LossParts)), book it
-        with its wall time and write its checkpoint if one is due. Returns
-        (horizon, stop)."""
-        store.apply_and_sync(grads, local)
-        stop = False
-        if episode is not None:
-            index, checkpoint, stop = store.finish_episode(
-                cfg, on_episode, wid, *episode, time.monotonic() - start_time, checkpoint_dir)
-            if checkpoint is not None:
-                checkpoint.save(f"{checkpoint_dir}/ep{index:08d}.ckpt")
-        return store.labeler.horizon, stop
-
+    store = GlobalStore(params, AdamState.for_params(params, lr=cfg.lr), cfg,
+                        on_episode, checkpoint_dir)
     error = None
     try:
         if cfg.episode_budget <= 0:
@@ -401,9 +405,9 @@ def train(cfg: RunConfig, env_factory, on_episode=None,
         elif cfg.workers == 1:
             local = store.snapshot()
             _worker_loop(model, weights, cfg.clip_norm, env0, np.random.default_rng(seeds[1]),
-                         local, lambda grads, episode: book(0, grads, local, episode))
+                         local, lambda grads, episode: store.book(0, grads, local, episode))
         else:
-            _serve_workers(cfg, model, weights, env_factory, seeds[1:], store.params, book)
+            _serve_workers(store, model, weights, env_factory, seeds[1:])
     except BaseException as exc:  # propagate after flushing
         error = exc
     if checkpoint_dir is not None:
@@ -415,45 +419,32 @@ def train(cfg: RunConfig, env_factory, on_episode=None,
 
 def _worker_loop(model: ModelConfig, weights: LossWeights, clip_norm: float, env: Environment,
                  rng: np.random.Generator, local: ParamSet, book):
-    """One worker: collect a rollout with `local`, compute its clipped
-    gradients, and hand them to book(grads, episode), which applies them,
-    leaves the new parameters in `local`, and returns the horizon for the
-    next update and whether to stop. episode is None, or, when the rollout
-    ended an episode, (length, reward, mean LossParts)."""
+    """One worker, one outer iteration per episode: collect a rollout with
+    `local`, compute its clipped gradients, and hand them to
+    book(grads, episode), which applies them, leaves the new parameters in
+    `local`, and returns the horizon for the next update and whether to
+    stop. episode is None, or, when the rollout ended an episode, (length,
+    reward, mean LossParts). Each loss part is summed with `+=` in update
+    order, which rounds the same on every Python version, unlike `sum`."""
     horizon = None  # no episode has finished yet
-    obs = env.reset(rng)
-    episode_step = 0
-    episode_reward = 0.0
-    acc = LossParts()
-    n_updates = 0
     while True:
-        rollout, obs, done = collect_rollout(local, model, env, obs,
-                                             episode_step, rng, weights.t_max)
-        episode_step += len(rollout.actions)
-        episode_reward += float(rollout.rewards.sum())
-        grads, parts = compute_update(rollout, local, model, weights,
-                                      horizon, clip_norm=clip_norm)
-        acc.policy_loss += parts.policy_loss
-        acc.value_loss += parts.value_loss
-        acc.tp_loss += parts.tp_loss
-        acc.entropy += parts.entropy
-        n_updates += 1
-        episode = None
-        if done:
-            losses = LossParts(policy_loss=acc.policy_loss / n_updates,
-                               value_loss=acc.value_loss / n_updates,
-                               entropy=acc.entropy / n_updates,
-                               tp_loss=acc.tp_loss / n_updates)
-            episode = (episode_step, episode_reward, losses)
-        horizon, stop = book(grads, episode)
-        if stop:
-            return
-        if done:
-            obs = env.reset(rng)
-            episode_step = 0
-            episode_reward = 0.0
-            acc = LossParts()
-            n_updates = 0
+        obs, length, reward, done = env.reset(rng), 0, 0.0, False
+        sums, n_updates = [0.0] * 4, 0  # policy, value, entropy, tp: LossParts order
+        while not done:
+            rollout, obs, done = collect_rollout(local, model, env, obs, length, rng,
+                                                 weights.t_max)
+            length += len(rollout.actions)
+            reward += float(rollout.rewards.sum())
+            grads, parts = compute_update(rollout, local, model, weights, horizon,
+                                          clip_norm=clip_norm)
+            for i, x in enumerate((parts.policy_loss, parts.value_loss, parts.entropy,
+                                   parts.tp_loss)):
+                sums[i] += x
+            n_updates += 1
+            episode = (length, reward, LossParts(*(x / n_updates for x in sums))) if done else None
+            horizon, stop = book(grads, episode)
+            if stop:
+                return
 
 
 class WorkerError(Exception):
@@ -469,19 +460,21 @@ class WorkerError(Exception):
         return f"{self.type_name} in a worker process:\n{self.traceback}"
 
 
-def _serve_workers(cfg: RunConfig, model: ModelConfig, weights: LossWeights, env_factory,
-                   seeds, params: ParamSet, book) -> None:
-    """Fork one process per worker and apply their updates, through
-    book(wid, grads, local, episode), until every worker has been told to
-    stop. Each worker owns two anonymous shared buffers, its parameters and
-    its gradients; per update it sends one message (the episode it ended,
-    or None) and gets back (horizon, version, stop). On any failure every
-    worker is terminated and joined before the error propagates."""
+def _serve_workers(store: GlobalStore, model: ModelConfig, weights: LossWeights, env_factory,
+                   seeds) -> None:
+    """Fork store.cfg.workers processes, one per worker, and book their
+    updates through store.book(wid, grads, local, episode) until every
+    worker has been told to stop. Each worker owns two anonymous shared
+    buffers, its parameters and its gradients; per update it sends one
+    message (the episode it ended, or None) and gets back (horizon,
+    version, stop). On any failure every worker is terminated and joined
+    before the error propagates."""
     import mmap
     import multiprocessing
     from multiprocessing.connection import wait
 
     ctx = multiprocessing.get_context("fork")
+    cfg, params = store.cfg, store.params
     layout, nbytes = params.layout, params.flat.nbytes
 
     def shared(version: int) -> ParamSet:
@@ -516,7 +509,7 @@ def _serve_workers(cfg: RunConfig, model: ModelConfig, weights: LossWeights, env
                     if msg.exc is None:
                         raise msg
                     raise msg.exc from msg
-                horizon, stop_now = book(wid, grads, local, msg)
+                horizon, stop_now = store.book(wid, grads, local, msg)
                 stop = stop or stop_now
                 conn.send((horizon, local.version, stop))
                 if stop:

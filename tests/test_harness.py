@@ -274,6 +274,8 @@ class TestSweep:
         base = small_config(tmp_path)
         with pytest.raises(ValueError):
             sweep_lambda_tp(base, [], [0])
+        with pytest.raises(ValueError, match="one seed"):
+            sweep_lambda_tp(base, [0.5], [])
         with pytest.raises(ValueError):
             sweep_lambda_tp(base, [0.5, 0.5], [0])
         with pytest.raises(ValueError, match="nonnegative"):  # before any run starts

@@ -96,6 +96,13 @@ class TestGeneration:
         b = generate_board(np.random.default_rng(0), n=6)
         assert b.n == 6 and b.grid.shape == (6, 6)
 
+    def test_side_of_one_rejected(self):
+        # Both agents would spawn on (0, 0).
+        for make in (lambda: generate_board(np.random.default_rng(0), n=1),
+                     lambda: BomberBoard(1), lambda: replay_board(1, 800, 0, [])):
+            with pytest.raises(ValueError, match="at least 2"):
+                make()
+
 
 class TestInvariants:
     def _random_episode(self, seed, steps=150):
@@ -327,6 +334,10 @@ BOARD_TEXT_REJECTIONS = {
     "header-extra-key": ("killers=-,-", "killers=-,- seed=3"),
     "header-not-an-int": ("step=3", "step=three"),
     "n-below-one": ("n=4", "n=0"),
+    # The whole text: a well-formed board of side 1, both agents on one cell.
+    "side-of-one": (BOARD_TEXT, "minibomber v2 n=1 step=0 cap=800 killers=-,-\n.\n"
+                                "agent 0 0 0 alive=1 ammo=1 radius=2 kick=0\n"
+                                "agent 1 0 0 alive=1 ammo=1 radius=2 kick=0\nend\n"),
     "killers-of-one-agent": ("killers=-,-", "killers=-"),
     "killer-not-an-agent": ("killers=-,-", "killers=-,2"),
     "too-few-rows": ("....\nagent 0", "agent 0"),
@@ -435,11 +446,11 @@ class TestSerialization:
         info = {}
         while not done:
             _, _, done, info = env.step(int(rng.integers(0, 6)), rng)
-        seed, actions = info["replay"]
+        record = info["replay"]
         path = tmp_path / "ep.replay"
-        save_replay(path, 8, 800, seed, actions)
+        save_replay(path, *record)
         n, cap, seed2, actions2 = load_replay(path)
-        assert (n, cap, seed2, actions2) == (8, 800, seed, actions)
+        assert (n, cap, seed2, actions2) == record and (n, cap) == (8, 800)
         final = replay_board(n, cap, seed2, actions2)
         assert board_to_text(final) == board_to_text(env.board)
 
@@ -455,7 +466,8 @@ class TestEnvWrapper:
             _, r, done, info = env.step(STAY, rng)
         assert r == -1.0
         assert info["outcome"].cause == "our-suicide"
-        seed, actions = info["replay"]
+        n, cap, seed, actions = info["replay"]
+        assert (n, cap) == (8, env.step_cap)
         assert seed == env.reset_seed and actions[0] == (BOMB, STAY)
         assert len(actions) == env.board.step_count
 

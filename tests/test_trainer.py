@@ -6,14 +6,17 @@ import multiprocessing
 import os
 import signal
 import sys
+import tempfile
 import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from a3ctp import trainer
 from a3ctp.envs.gridgoal import GridGoal
-from a3ctp.losses import LossWeights, TPLabeler
+from a3ctp.losses import EPISODE_LENGTH_WINDOW, LossWeights, TPLabeler
 from a3ctp.model import ModelConfig, init_model
 from a3ctp.nn import AdamState, ParamSet
 from a3ctp.trainer import (
@@ -143,7 +146,7 @@ class TestComputeUpdate:
 class TestGlobalStore:
     def _store(self):
         cfg, params = tiny_model()
-        return cfg, GlobalStore(params, AdamState.for_params(params))
+        return cfg, GlobalStore(params, AdamState.for_params(params), RunConfig())
 
     def test_version_counts_updates(self):
         cfg, store = self._store()
@@ -172,29 +175,78 @@ class TestGlobalStore:
         snap["policy.b"][:] = 99.0
         assert not np.any(store.params["policy.b"] == 99.0)
 
-    def test_finish_episode_moving_average(self):
+    def test_book_moving_average(self):
         cfg, params = tiny_model()
-        store = GlobalStore(params, AdamState.for_params(params), window=4)
-        rc = RunConfig(episode_budget=100, early_stop_reward=0.5)
         rows = []
-        book = lambda r: store.finish_episode(rc, rows.append, 0, 3, r, trainer.LossParts(), 0.0)
+        store = GlobalStore(params, AdamState.for_params(params),
+                            RunConfig(episode_budget=100, early_stop_reward=0.5, moving_window=4),
+                            rows.append)
+        local, zeros = store.snapshot(), params.zeros_like()
+        book = lambda r: store.book(0, zeros, local, (3, r, trainer.LossParts()))[1]
         for r in [1.0, 0.0, 1.0]:
-            idx, _, stop = book(r)
-        assert idx == 3 and not stop  # window not yet full
+            stop = book(r)
+        assert store.episode_count == 3 and not stop  # window not yet full
         assert [row.moving_avg_reward for row in rows] == [1.0, 0.5, 2.0 / 3.0]
-        idx, _, stop = book(0.0)
-        assert idx == 4 and rows[-1].moving_avg_reward == 0.5 and stop
-        idx, _, stop = book(0.0)
-        assert idx == 5 and rows[-1].moving_avg_reward == 0.25 and not stop  # oldest evicted
+        stop = book(0.0)
+        assert store.episode_count == 4 and rows[-1].moving_avg_reward == 0.5 and stop
+        stop = book(0.0)  # the oldest reward is evicted
+        assert store.episode_count == 5 and rows[-1].moving_avg_reward == 0.25 and not stop
 
-    def test_finish_episode_stops_at_budget_and_books_no_row_past_it(self):
-        cfg, store = self._store()
+    def test_book_stops_at_budget_and_books_no_row_past_it(self):
+        cfg, params = tiny_model()
         rows = []
-        rc = RunConfig(episode_budget=2)
-        stops = [store.finish_episode(rc, rows.append, 0, 3, 0.0, trainer.LossParts(), 0.0)[2]
-                 for _ in range(3)]
+        store = GlobalStore(params, AdamState.for_params(params), RunConfig(episode_budget=2),
+                            rows.append)
+        local, zeros = store.snapshot(), params.zeros_like()
+        stops = [store.book(0, zeros, local, (3, 0.0, trainer.LossParts()))[1] for _ in range(3)]
         assert stops == [False, True, True]
         assert [row.episode for row in rows] == [1, 2]
+
+    @settings(max_examples=60, deadline=None)
+    @given(updates=st.lists(st.one_of(st.none(), st.tuples(
+               st.integers(0, 3), st.integers(1, 300), st.sampled_from((-1.0, 0.0, 0.5, 1.0)))),
+               max_size=40),
+           window=st.integers(1, 6), budget=st.integers(0, 25), cadence=st.integers(0, 4),
+           target=st.sampled_from((float("nan"), -1.0, 0.0, 0.25, 0.5, 1.0)))
+    def test_book_matches_a_plain_ledger(self, updates, window, budget, cadence, target):
+        # updates: None for an update that ends no episode, else (worker,
+        # length, reward) of the episode it ends. Rewards and targets come
+        # from a few values, so a window's mean often equals the target.
+        cfg, params = tiny_model()
+        rows, lengths, rewards, want_rows, got, want = [], [], [], [], [], []
+
+        def horizon():
+            recent = lengths[-EPISODE_LENGTH_WINDOW:]
+            return sum(recent) / len(recent) if recent else None
+
+        with tempfile.TemporaryDirectory() as ckpt_dir:
+            store = GlobalStore(params, AdamState.for_params(params),
+                                RunConfig(moving_window=window, episode_budget=budget,
+                                          checkpoint_cadence=cadence, early_stop_reward=target),
+                                rows.append, ckpt_dir)
+            local, zeros = store.snapshot(), params.zeros_like()
+            for update in updates:
+                if update is None:
+                    got.append(store.book(0, zeros, local, None))
+                    want.append((horizon(), False))
+                    continue
+                wid, length, reward = update
+                got.append(store.book(wid, zeros, local, (length, reward, trainer.LossParts())))
+                lengths.append(length)
+                rewards.append(reward)
+                mean = sum(rewards[-window:]) / len(rewards[-window:])
+                index = len(rewards)
+                if index <= budget:
+                    want_rows.append((wid, index, length, reward, horizon(), mean))
+                want.append((horizon(), index >= budget
+                             or (len(rewards) >= window and mean >= target)))
+            names = sorted(os.listdir(ckpt_dir))
+        assert store.episode_count == len(rewards) and store.version == len(updates)
+        assert [(r.worker_id, r.episode, r.length, r.reward, r.running_n, r.moving_avg_reward)
+                for r in rows] == want_rows
+        assert got == want
+        assert names == [f"ep{i:08d}.ckpt" for i in range(1, min(len(rewards), budget) + 1)
+                         if cadence > 0 and i % cadence == 0]
 
 
 class TestTrain:
@@ -295,12 +347,12 @@ class TestLock:
         grads = params.zeros_like()
         grads.flat[:] = np.random.default_rng(9).normal(size=grads.flat.size)
 
-        serial = GlobalStore(params.copy(), AdamState.for_params(params))
+        serial = GlobalStore(params.copy(), AdamState.for_params(params), RunConfig())
         local = serial.snapshot()
         for _ in range(n_threads * k):
             serial.apply_and_sync(grads.copy(), local=local)
 
-        store = GlobalStore(params.copy(), AdamState.for_params(params))
+        store = GlobalStore(params.copy(), AdamState.for_params(params), RunConfig())
         errors = []
         start = threading.Barrier(n_threads)
 
