@@ -1,13 +1,14 @@
 """Tour of the differentiable network core.
 
-Builds a small three-headed model by hand, checks its analytic gradients
-against finite differences, takes a few Adam steps, and round-trips the
-parameters through the binary checkpoint format.
+Builds a small three-headed model by hand, acts on one observation, reads
+the terminal prediction from the batched forward pass, checks the analytic
+gradients against finite differences, takes a few Adam steps, and
+round-trips the parameters through the binary checkpoint format.
 """
 
 import numpy as np
 
-from a3ctp.model import ModelConfig, init_model, model_backward, model_forward, rollout_loss
+from a3ctp.model import ModelConfig, act, forward_batch, init_model, model_backward, rollout_loss
 from a3ctp.losses import LossWeights
 from a3ctp.nn import AdamState, ParamSet, adam_step, gradient_check
 
@@ -16,10 +17,14 @@ cfg = ModelConfig(obs_dim=10, n_actions=4, hidden=(16, 8))
 params = init_model(cfg, rng)
 print("parameters:", ", ".join(params.names()))
 
-out = model_forward(params, cfg, rng.normal(size=10))
-print("policy sums to", out.policy.sum())
-print("value estimate:", out.value)
-print("terminal prediction (sigmoid):", out.tp_prediction)
+# acting needs only the policy and the value; the terminal-prediction head
+# is read from the batched forward pass that training runs over a rollout
+x = rng.normal(size=10)
+policy, value = act(params, cfg, x)
+print("policy:", np.round(policy, 4), "sums to", policy.sum())
+print("value estimate:", value)
+_, _, tp, _ = forward_batch(params, cfg, x[None, :])
+print("terminal prediction (sigmoid):", tp[0])
 
 # gradient check over a fake rollout batch
 weights = LossWeights()

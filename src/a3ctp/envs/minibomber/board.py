@@ -114,13 +114,19 @@ def _neighbor_table(n: int) -> tuple[tuple[Neighbors, ...], ...]:
                  for r in range(n))
 
 
+def _check_side(n: int) -> None:
+    """Raise ValueError for a board side below 2, on which both agents would
+    start on one cell."""
+    if n < 2:
+        raise ValueError(f"board side must be at least 2, not {n}")
+
+
 class BomberBoard:
     """Full mutable board state for one episode. Raises ValueError for a
     side n below 2, on which both agents would start on one cell."""
 
     def __init__(self, n: int = 8, step_cap: int = DEFAULT_STEP_CAP):
-        if n < 2:
-            raise ValueError(f"board side must be at least 2, not {n}")
+        _check_side(n)
         self.n = n
         self.step_cap = step_cap
         self.grid = np.zeros((n, n), dtype=np.int8)
@@ -384,7 +390,9 @@ def generate_board(rng: np.random.Generator, n: int = 8,
     All four corners and their orthogonal neighbors stay clear so either
     corner pair is playable. If random generation fails connectivity
     MAX_RETRIES times, an L-shaped corridor is carved between the agents.
+    Raises ValueError for a side n below 2, before drawing from rng.
     """
+    _check_side(n)
     corners = CORNERS(n)
     idx = rng.choice(4, size=2, replace=False)
     spawn = [corners[idx[0]], corners[idx[1]]]

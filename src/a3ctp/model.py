@@ -10,14 +10,21 @@ bonus, terminal-prediction MSE) and the switch for its terminal-prediction
 term live in `losses.loss_parts`; the backward pass takes the parts from
 there and adds only their gradients, in one sweep.
 
-The forward pass reads the trunk's parameter names from its `ModelConfig`,
-computed once per config, and caches only the arrays the backward pass
-needs: the trunk's outputs (tanh's derivative is taken from them) and the
-head outputs.
+There are two forward entry points. `act` takes one observation and
+returns only what acting needs, the policy row and the value: the
+terminal-prediction head is trained from the rollout and never acted on.
+`forward_batch` takes a rollout, runs all three heads and caches only the
+arrays the backward pass needs: the trunk's outputs (tanh's derivative is
+taken from them) and the head outputs. Both read the trunk's parameter
+names from the `ModelConfig`, computed once per config. Training runs
+`forward_batch` over each rollout rather than reusing the activations of
+its act steps: a 1-row product rounds differently from the same row inside
+a batch.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -46,13 +53,6 @@ class ModelConfig:
     def trunk_keys(self) -> tuple[tuple[str, str], ...]:
         """(weight, bias) parameter names of the trunk layers, input first."""
         return tuple((f"{name}.W", f"{name}.b") for name, _, _ in self.layers[:len(self.hidden)])
-
-
-@dataclass
-class ModelOutput:
-    policy: np.ndarray       # probabilities over actions, sums to 1
-    value: float             # critic estimate
-    tp_prediction: float     # predicted closeness to terminal, in (0, 1)
 
 
 def init_model(cfg: ModelConfig, rng: np.random.Generator) -> ParamSet:
@@ -113,10 +113,32 @@ def sample_action(probs_row: np.ndarray, rng: np.random.Generator) -> int:
     return min(int(probs_row.cumsum().searchsorted(u)), probs_row.shape[0] - 1)
 
 
-def model_forward(params: ParamSet, cfg: ModelConfig, obs: np.ndarray) -> ModelOutput:
-    """Single-observation forward pass."""
-    probs, v, tp, _ = forward_batch(params, cfg, np.asarray(obs, dtype=np.float64)[None, :])
-    return ModelOutput(policy=probs[0], value=float(v[0]), tp_prediction=float(tp[0]))
+def act(params: ParamSet, cfg: ModelConfig, obs: np.ndarray) -> tuple[np.ndarray, float]:
+    """Single-observation forward through the trunk, the policy head and the
+    value head only. Returns (probs (A,), value), the bits of row 0 of
+    forward_batch(params, cfg, obs[None, :]): obs is kept a (1, obs_dim) row,
+    so every product rounds as it does there.
+
+    Raises ShapeError on a wrong observation width and NonFiniteError when
+    the logits or the value are NaN or Inf. The terminal-prediction head is
+    not computed, so a non-finite `tp.*` parameter does not raise here; the
+    forward_batch of the next compute_update raises for it.
+    """
+    h = np.asarray(obs, dtype=np.float64)[None, :]
+    if h.shape[1] != cfg.obs_dim:
+        raise ShapeError(f"input width {h.shape[1]} does not match fan-in {cfg.obs_dim}")
+    t = params.tensors
+    # The same sums as forward_batch's, added in place.
+    for wkey, bkey in cfg.trunk_keys:
+        z = h @ t[wkey]
+        z += t[bkey]
+        h = np.tanh(z, out=z)
+    logits = h @ t["policy.W"]
+    logits += t["policy.b"]
+    value = float((h @ t["value.W"])[0, 0] + t["value.b"][0])
+    if not (np.isfinite(logits).all() and math.isfinite(value)):
+        raise NonFiniteError("non-finite activations in act forward")
+    return _softmax(logits)[0], value
 
 
 def backward_batch(params: ParamSet, cfg: ModelConfig, cache, actions,

@@ -7,6 +7,14 @@ combined loss locally, hands them to the one `GlobalStore`, which applies
 them to the global network under a single writer lock, and reads the
 updated global parameters back into its local copy.
 
+The model has two forward entry points, and each has one place here.
+`collect_rollout` acts through `model.act`, one observation at a time,
+which computes only the policy row and the value. `compute_update` runs
+`model.forward_batch` over the whole rollout for the backward pass. It does
+not reuse the act steps' activations, because a 1-row product rounds
+differently from the same row inside a batch, and every byte-identity
+reference rests on the batched forward.
+
 Where workers run: with one worker, the worker loop runs in the calling
 thread. With more, `train` forks exactly `workers` processes (this needs
 the POSIX `fork` start method), and the calling process keeps the
@@ -61,7 +69,7 @@ import numpy as np
 from .envs import ENV_NAMES
 from .envs.base import Environment
 from .losses import LossParts, LossWeights, TPLabeler, advantages, n_step_returns, tp_targets
-from .model import ModelConfig, backward_batch, forward_batch, init_model, sample_action
+from .model import ModelConfig, act, backward_batch, forward_batch, init_model, sample_action
 from .nn import AdamState, ParamSet, adam_step, clip_global_norm
 
 DEFAULT_CLIP_NORM = 40.0
@@ -173,7 +181,12 @@ class RunConfig:
         return w if self.algorithm == "a3c-tp" else replace(w, lambda_tp=0.0)
 
     def hidden_sizes(self) -> tuple[int, ...]:
-        return tuple(int(x) for x in self.hidden.split(",") if x)
+        """The hidden widths, none for an empty `hidden`. Raises ValueError
+        unless every comma-separated field is decimal digits."""
+        parts = self.hidden.split(",") if self.hidden else []
+        if not all(p.isdigit() for p in parts):
+            raise ValueError(f"malformed hidden {self.hidden!r}")
+        return tuple(int(p) for p in parts)
 
     def env_kwargs(self) -> dict:
         return {"size": self.env_size, "max_steps": self.env_max_steps}
@@ -321,23 +334,19 @@ def collect_rollout(params: ParamSet, cfg: ModelConfig, env: Environment,
     obs_list, actions, rewards, values, indices = [], [], [], [], []
     done = False
     for _ in range(t_max):
-        probs, v, _, _ = forward_batch(params, cfg, obs[None, :])
-        action = sample_action(probs[0], rng)
+        probs, value = act(params, cfg, obs)
+        action = sample_action(probs, rng)
         next_obs, reward, done, _info = env.step(action, rng)
         obs_list.append(obs)
         actions.append(action)
         rewards.append(reward)
-        values.append(float(v[0]))
+        values.append(value)
         indices.append(episode_step)
         episode_step += 1
         obs = next_obs
         if done:
             break
-    if done:
-        bootstrap = 0.0
-    else:
-        _, v, _, _ = forward_batch(params, cfg, obs[None, :])
-        bootstrap = float(v[0])
+    bootstrap = 0.0 if done else act(params, cfg, obs)[1]
     rollout = Rollout(
         obs=np.array(obs_list), actions=np.array(actions),
         rewards=np.array(rewards), values=np.array(values),

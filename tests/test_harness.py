@@ -122,12 +122,19 @@ class TestRunConfig:
         (["--clip-norm", "-1"], "clip_norm"),
         (["--episode-budget", "-5"], "episode_budget"),
         (["--checkpoint-cadence", "-2"], "checkpoint_cadence"),
+        (["--hidden", "128,,128"], "hidden"),
+        (["--hidden", "128,"], "hidden"),
+        (["--hidden", ","], "hidden"),
+        (["--hidden", "8_0"], "hidden"),
+        (["--hidden", " 8"], "hidden"),
+        (["--hidden", "+8"], "hidden"),
     ], ids=["moving-window-0", "t-max-0", "gamma-above-1", "gamma-below-0", "lambda-v",
             "lambda-pi", "lambda-h", "lambda-tp", "lambda-tp-of-plain-a3c", "lambda-v-nan",
             "lambda-tp-nan", "hidden-not-a-number", "hidden-width-0", "env-unknown", "env-size-0",
             "env-size-1", "env-max-steps-negative",
             "lr-negative", "lr-nan", "clip-norm-negative", "episode-budget-negative",
-            "checkpoint-cadence-negative"])
+            "checkpoint-cadence-negative", "hidden-empty-field", "hidden-trailing-comma",
+            "hidden-only-a-comma", "hidden-underscore", "hidden-space", "hidden-plus-sign"])
     def test_rejected_value_writes_no_file(self, tmp_path, args, problem):
         out = tmp_path / "run"
         with pytest.raises(ValueError, match=problem):

@@ -103,6 +103,14 @@ class TestGeneration:
             with pytest.raises(ValueError, match="at least 2"):
                 make()
 
+    @pytest.mark.parametrize("n", [1, 0, -2])
+    @pytest.mark.parametrize("make", [lambda n: generate_board(np.random.default_rng(0), n=n),
+                                      lambda n: replay_board(n, 800, 0, [])],
+                             ids=["generate_board", "replay_board"])
+    def test_side_below_two_names_the_side(self, make, n):
+        with pytest.raises(ValueError, match=f"board side must be at least 2, not {n}$"):
+            make(n)
+
 
 class TestInvariants:
     def _random_episode(self, seed, steps=150):

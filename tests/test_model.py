@@ -6,12 +6,14 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from a3ctp.envs import make_env
 from a3ctp.losses import LossWeights
 from a3ctp.model import (
-    ModelConfig, backward_batch, forward_batch, init_model, model_backward,
-    model_forward, rollout_loss, sample_action,
+    ModelConfig, act, backward_batch, forward_batch, init_model, model_backward,
+    rollout_loss, sample_action,
 )
 from a3ctp.nn import NonFiniteError, ShapeError, gradient_check
 
@@ -26,20 +28,24 @@ class TestForward:
         params = init_model(cfg, np.random.default_rng(0))
         for k in params:
             params[k] = np.zeros_like(params[k])
-        out = model_forward(params, cfg, np.random.default_rng(1).normal(size=6))
-        assert np.allclose(out.policy, 0.25)
-        assert out.value == 0.0
-        assert out.tp_prediction == 0.5
+        x = np.random.default_rng(1).normal(size=6)
+        policy, value = act(params, cfg, x)
+        tp = forward_batch(params, cfg, x[None, :])[2][0]
+        assert np.allclose(policy, 0.25)
+        assert value == 0.0
+        assert tp == 0.5
 
     def test_policy_always_normalized(self):
         cfg = small_cfg()
         rng = np.random.default_rng(2)
         for seed in range(10):
             params = init_model(cfg, np.random.default_rng(seed))
-            out = model_forward(params, cfg, rng.normal(size=6) * 3)
-            assert np.isclose(out.policy.sum(), 1.0, atol=1e-9)
-            assert np.all(out.policy >= 0)
-            assert 0.0 < out.tp_prediction < 1.0
+            x = rng.normal(size=6) * 3
+            policy, _ = act(params, cfg, x)
+            tp = forward_batch(params, cfg, x[None, :])[2][0]
+            assert np.isclose(policy.sum(), 1.0, atol=1e-9)
+            assert np.all(policy >= 0)
+            assert 0.0 < tp < 1.0
 
     def test_matches_independent_recomputation(self):
         cfg = small_cfg(hidden=(5,))
@@ -59,20 +65,23 @@ class TestForward:
         value = sum(h[i] * params["value.W"][i, 0] for i in range(5)) + params["value.b"][0]
         u = sum(h[i] * params["tp.W"][i, 0] for i in range(5)) + params["tp.b"][0]
         tp = 1.0 / (1.0 + np.exp(-u))
-        out = model_forward(params, cfg, x)
-        assert np.allclose(out.policy, probs, atol=1e-12)
-        assert np.isclose(out.value, value, atol=1e-12)
-        assert np.isclose(out.tp_prediction, tp, atol=1e-12)
+        policy, v = act(params, cfg, x)
+        assert np.allclose(policy, probs, atol=1e-12)
+        assert np.isclose(v, value, atol=1e-12)
+        assert np.isclose(forward_batch(params, cfg, x[None, :])[2][0], tp, atol=1e-12)
 
     def test_deterministic_and_side_effect_free(self):
         cfg = small_cfg()
         params = init_model(cfg, np.random.default_rng(5))
         before = params.copy()
         x = np.random.default_rng(6).normal(size=6)
-        a = model_forward(params, cfg, x)
-        b = model_forward(params, cfg, x)
-        assert np.array_equal(a.policy, b.policy)
-        assert a.value == b.value and a.tp_prediction == b.tp_prediction
+        a = act(params, cfg, x)
+        b = act(params, cfg, x)
+        assert np.array_equal(a[0], b[0])
+        assert a[1] == b[1]
+        tp_a = forward_batch(params, cfg, x[None, :])[2]
+        tp_b = forward_batch(params, cfg, x[None, :])[2]
+        assert np.array_equal(tp_a, tp_b)
         assert params.equal_bits(before)
 
 
@@ -246,6 +255,50 @@ def layered_backward(params, cfg, obs, actions, adv, ret, y, w, with_tp):
         d_h = d_h + mlp_backward(params, tp_cache, d_u[:, None], grads)
     mlp_backward(params, trunk, d_h, grads)
     return grads
+
+
+class TestAct:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 12), st.integers(1, 6), st.lists(st.integers(1, 16), max_size=3),
+           st.integers(0, 2**32 - 1), st.floats(0.1, 10.0))
+    def test_bits_equal_row_zero_of_forward_batch(self, obs_dim, n_actions, hidden, seed, scale):
+        cfg = ModelConfig(obs_dim, n_actions, tuple(hidden))
+        rng = np.random.default_rng(seed)
+        params = init_model(cfg, rng)
+        for k in params:
+            params[k] = params[k] + rng.normal(size=params[k].shape)  # nonzero biases too
+        obs = rng.normal(size=obs_dim) * scale
+        policy, value = act(params, cfg, obs)
+        probs, values, _, _ = forward_batch(params, cfg, obs[None, :])
+        assert policy.shape == (n_actions,) and np.array_equal(policy, probs[0])
+        assert isinstance(value, float) and value == values[0]
+
+    def test_wrong_width_raises_shape_error(self):
+        cfg = small_cfg()
+        params = init_model(cfg, np.random.default_rng(50))
+        with pytest.raises(ShapeError):
+            act(params, cfg, np.zeros(5))
+
+    @pytest.mark.parametrize("key", ["trunk0.W", "trunk1.b", "policy.W", "policy.b",
+                                     "value.W", "value.b"])
+    def test_nan_in_an_acting_layer_raises(self, key):
+        cfg = small_cfg()
+        params = init_model(cfg, np.random.default_rng(51))
+        params[key] = np.full_like(params[key], np.nan)
+        with pytest.raises(NonFiniteError):
+            act(params, cfg, np.ones(6))
+
+    @pytest.mark.parametrize("key", ["tp.W", "tp.b"])
+    def test_nan_only_in_the_tp_head_raises_in_forward_batch_alone(self, key):
+        """act never computes the terminal-prediction head; the rollout's
+        forward_batch in the next compute_update is what catches it."""
+        cfg = small_cfg()
+        params = init_model(cfg, np.random.default_rng(52))
+        params[key] = np.full_like(params[key], np.nan)
+        policy, value = act(params, cfg, np.ones(6))
+        assert np.isfinite(policy).all() and np.isfinite(value)
+        with pytest.raises(NonFiniteError):
+            forward_batch(params, cfg, np.ones((1, 6)))
 
 
 class TestLeanPasses:

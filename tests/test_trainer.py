@@ -15,9 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from a3ctp import trainer
+from a3ctp.envs import make_env
 from a3ctp.envs.gridgoal import GridGoal
 from a3ctp.losses import EPISODE_LENGTH_WINDOW, LossWeights, TPLabeler
-from a3ctp.model import ModelConfig, init_model
+from a3ctp.model import ModelConfig, forward_batch, init_model, sample_action
 from a3ctp.nn import AdamState, ParamSet
 from a3ctp.trainer import (
     GlobalStore, Rollout, RunConfig, collect_rollout, compute_update, train,
@@ -68,6 +69,30 @@ def make_rollout(T=5, terminal=False, bootstrap=0.0):
     )
 
 
+def reference_rollout(params, cfg, env, obs, episode_step, rng, t_max):
+    """collect_rollout's loop, acting through forward_batch on a 1-row batch."""
+    obs_list, actions, rewards, values, indices = [], [], [], [], []
+    done = False
+    for _ in range(t_max):
+        probs, v, _, _ = forward_batch(params, cfg, obs[None, :])
+        action = sample_action(probs[0], rng)
+        next_obs, reward, done, _ = env.step(action, rng)
+        obs_list.append(obs)
+        actions.append(action)
+        rewards.append(reward)
+        values.append(float(v[0]))
+        indices.append(episode_step)
+        episode_step += 1
+        obs = next_obs
+        if done:
+            break
+    bootstrap = 0.0 if done else float(forward_batch(params, cfg, obs[None, :])[1][0])
+    rollout = Rollout(obs=np.array(obs_list), actions=np.array(actions),
+                      rewards=np.array(rewards), values=np.array(values),
+                      step_indices=np.array(indices), terminal=done, bootstrap_value=bootstrap)
+    return rollout, obs, done
+
+
 class TestRollout:
     def test_terminal_requires_zero_bootstrap(self):
         with pytest.raises(ValueError):
@@ -108,6 +133,33 @@ class TestCollectRollout:
         rollout, _, done = collect_rollout(params, cfg, env, obs, 0, rng, t_max=3)
         assert not done and not rollout.terminal
         assert np.isfinite(rollout.bootstrap_value)
+
+    @pytest.mark.parametrize("make", [lambda: GridGoal(8), lambda: make_env("minibomber-static")],
+                             ids=["gridgoal-8", "minibomber-static"])
+    def test_matches_a_reference_loop_that_acts_through_forward_batch(self, make):
+        env, ref_env = make(), make()
+        spec = env.spec()
+        cfg = ModelConfig(spec.obs_dim, spec.n_actions, (16, 16))
+        params = init_model(cfg, np.random.default_rng(3))
+        rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
+        obs, ref_obs = env.reset(rng), ref_env.reset(ref_rng)
+        step, episodes, segments = 0, 0, 0
+        while episodes < 2:
+            got = collect_rollout(params, cfg, env, obs, step, rng, t_max=5)
+            want = reference_rollout(params, cfg, ref_env, ref_obs, step, ref_rng, t_max=5)
+            (rollout, obs, done), (ref, ref_obs, ref_done) = got, want
+            for name in ("obs", "actions", "rewards", "values", "step_indices"):
+                a, b = getattr(rollout, name), getattr(ref, name)
+                assert a.dtype == b.dtype and np.array_equal(a, b), name
+            assert rollout.terminal == ref.terminal and done == ref_done
+            assert rollout.bootstrap_value == ref.bootstrap_value
+            assert np.array_equal(obs, ref_obs)
+            step += len(rollout.actions)
+            segments += 1
+            if done:
+                episodes += 1
+                step, obs, ref_obs = 0, env.reset(rng), ref_env.reset(ref_rng)
+        assert segments > episodes  # some segments bootstrapped from the critic
 
 
 class TestComputeUpdate:
