@@ -1,11 +1,11 @@
 """Walk through the learning targets: n-step returns, advantages, entropy,
-and the terminal-prediction labels derived from a running episode-length
-average."""
+the terminal-prediction labels derived from a running episode-length
+average, and the combined loss of a 4-step rollout."""
 
 import numpy as np
 
 from a3ctp.losses import (
-    LossWeights, TPLabeler, advantages, combined_loss, entropy,
+    LossWeights, TPLabeler, advantages, entropy, loss_parts,
     n_step_returns, tp_loss, tp_targets,
 )
 
@@ -15,7 +15,8 @@ returns = n_step_returns(rewards, bootstrap_value=0.0, gamma=0.99, terminal=True
 print("discounted returns:", returns)
 
 values = np.array([0.2, 0.3, 0.5, 0.8])
-print("advantages:", advantages(returns, values))
+adv = advantages(returns, values)
+print("advantages:", adv)
 
 print("entropy of uniform over 4 actions:", entropy(np.full(4, 0.25)))
 print("entropy of a deterministic policy:", entropy(np.array([1.0, 0, 0, 0])))
@@ -32,7 +33,18 @@ y = tp_targets(steps, labeler.horizon)
 print("targets at steps", steps.tolist(), "->", np.round(y, 3).tolist())
 print("tp loss of a flat 0.5 prediction:", tp_loss(y, np.full_like(y, 0.5)))
 
+# the combined loss of the 4-step rollout: policy logits over 4 actions, the
+# actions taken, and terminal predictions against targets for steps 0..3 of
+# an episode expected to last 4 steps
+logits = np.array([[0.5, 0.1, -0.2, 0.0],
+                   [0.2, 0.4, 0.0, -0.1],
+                   [0.0, 0.0, 0.9, 0.3],
+                   [1.2, 0.1, 0.0, 0.2]])
+probs = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
+actions = np.array([0, 1, 2, 0])
+tp_pred = np.array([0.1, 0.3, 0.6, 0.7])
 w = LossWeights()  # value 0.5, policy 1.0, entropy 0.01, tp 0.5
-total = combined_loss(policy_loss=0.8, value_loss=0.4, entropy_mean=1.2,
-                      tp_loss_value=0.1, weights=w)
-print("combined loss:", total)
+parts, _, d_values, _ = loss_parts(logits, probs, values, tp_pred, actions, adv,
+                                  returns, tp_targets(np.arange(4), 4.0), w)
+print("loss parts:", parts)
+print("gradient at the value head:", np.round(d_values, 4).tolist())

@@ -201,9 +201,12 @@ def evaluate(checkpoint_path: str, env_name: str, episodes: int, seed: int,
              replay_dir: str | None = None) -> EvalReport:
     """Roll out a trained checkpoint: reward and length statistics, a tally
     of the outcomes that terminal infos carry (bomberman), and, with
-    replay_dir, each replay they carry. Raises ValueError unless the
-    checkpoint's tensor names and shapes are exactly those of the network
-    for this environment (its hidden widths read from the checkpoint)."""
+    replay_dir, each replay they carry. Raises ValueError for episodes
+    below 1, before anything is loaded, and unless the checkpoint's tensor
+    names and shapes are exactly those of the network for this environment
+    (its hidden widths read from the checkpoint)."""
+    if episodes < 1:
+        raise ValueError(f"episodes must be at least 1, not {episodes}")
     env = make_env(env_name, **(env_kwargs or {}))
     spec = env.spec()
     params = ParamSet.load(checkpoint_path)
@@ -239,8 +242,8 @@ def evaluate(checkpoint_path: str, env_name: str, episodes: int, seed: int,
             save_replay(os.path.join(replay_dir, f"ep{ep:05d}.replay"), *info["replay"])
     return EvalReport(
         episodes=episodes,
-        mean_reward=float(np.mean(rewards)) if rewards else 0.0,
-        mean_length=float(np.mean(lengths)) if lengths else 0.0,
+        mean_reward=float(np.mean(rewards)),
+        mean_length=float(np.mean(lengths)),
         outcome_counts=counts,
     )
 

@@ -8,9 +8,11 @@ labels.
 
 This module is the one place where the A3C-TP objective is written down:
 `loss_parts` turns the model's forward outputs over a rollout into
-`LossParts`, and it alone decides whether the terminal-prediction term is
-on (targets given and lambda_tp != 0). The model's backward pass and its
-forward-only loss both read its result; plain A3C is lambda_tp == 0.
+`LossParts` and the objective's gradient at the three heads, and it alone
+decides whether the terminal-prediction term is on (targets given and
+lambda_tp != 0). The model's backward pass takes those head gradients and
+applies only the chain rule through the network; plain A3C is
+lambda_tp == 0.
 """
 
 from __future__ import annotations
@@ -121,36 +123,25 @@ def tp_loss(targets, predictions) -> float:
     return float(np.mean(d * d))
 
 
-def combined_loss(policy_loss: float, value_loss: float, entropy_mean: float,
-                  tp_loss_value: float, weights: LossWeights) -> float:
-    """L = lv*Lv + lpi*Lpi - lh*H + ltp*Ltp.
-
-    With lambda_tp == 0 the terminal-prediction term is skipped entirely so
-    the result is bitwise identical to the plain actor-critic objective.
-    """
-    parts = (policy_loss, value_loss, entropy_mean, tp_loss_value)
-    if not all(np.isfinite(parts)):
-        raise FloatingPointError(f"non-finite loss component: {parts}")
-    total = (weights.lambda_v * value_loss
-             + weights.lambda_pi * policy_loss
-             - weights.lambda_h * entropy_mean)
-    if weights.lambda_tp != 0.0:
-        total = total + weights.lambda_tp * tp_loss_value
-    return float(total)
-
-
-def loss_parts(logp, probs, values, tp_pred, actions, advantages, returns,
-               tp_targets, weights: LossWeights) -> LossParts:
-    """The combined objective over one rollout of length T, from batched
-    forward outputs: log-probs and probs (T, A), values and terminal
-    predictions (T,). Each term is a mean over the rollout:
+def loss_parts(logits, probs, values, tp_pred, actions, advantages, returns, tp_targets,
+               weights: LossWeights) -> tuple[LossParts, np.ndarray, np.ndarray, np.ndarray | None]:
+    """The combined objective over one rollout of length T and its gradient
+    at the three heads, from batched forward outputs: policy logits and
+    probs (T, A), values and terminal predictions (T,). Each term is a mean
+    over the rollout:
       policy:  -log pi(a_t) * A_t   (advantage treated as a constant)
       value:   (R_t - V_t)^2
       entropy: H(pi_t), entering the total with a negative weight
       tp:      (y_t - y_t^p)^2, only when tp_targets is given and
                lambda_tp != 0 (recorded in `tp_on`; otherwise tp_loss is 0)
-    Raises IndexError on an action outside [0, A) and FloatingPointError on
-    a non-finite part.
+    total = lambda_v*value + lambda_pi*policy - lambda_h*entropy
+            [+ lambda_tp*tp when tp_on]
+
+    Returns (LossParts, d_logits (T, A), d_values (T,), d_u (T,) or None):
+    the gradients of the total w.r.t. the logits, the values and the
+    terminal-prediction head's pre-sigmoid output, d_u None when the term is
+    off. Raises IndexError on an action outside [0, A) and
+    FloatingPointError on a non-finite part.
     """
     T, A = probs.shape
     actions = np.asarray(actions, dtype=np.intp)
@@ -158,17 +149,38 @@ def loss_parts(logp, probs, values, tp_pred, actions, advantages, returns,
         raise IndexError("action index out of range")
     adv = np.asarray(advantages, dtype=np.float64)
     ret = np.asarray(returns, dtype=np.float64)
+    rows = np.arange(T)
+    z = logits - logits.max(axis=-1, keepdims=True)
+    logp = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    ent = -np.sum(probs * logp, axis=1)  # each row's entropy
     parts = LossParts(
-        policy_loss=float(np.mean(-logp[np.arange(T), actions] * adv)),
+        policy_loss=float(np.mean(-logp[rows, actions] * adv)),
         value_loss=float(np.mean((ret - values) ** 2)),
-        entropy=float(np.mean(-np.sum(probs * logp, axis=1))),
+        entropy=float(np.mean(ent)),
         tp_on=tp_targets is not None and weights.lambda_tp != 0.0,
     )
+    d_u = None
     if parts.tp_on:
         parts.tp_loss = tp_loss(tp_targets, tp_pred)
-    parts.total = combined_loss(parts.policy_loss, parts.value_loss, parts.entropy,
-                                parts.tp_loss, weights)
-    return parts
+        # d/du of (y - sigmoid(u))^2, averaged over the rollout.
+        y = np.asarray(tp_targets, dtype=np.float64)
+        d_u = weights.lambda_tp * (-2.0 / T) * (y - tp_pred) * tp_pred * (1.0 - tp_pred)
+    terms = (parts.policy_loss, parts.value_loss, parts.entropy, parts.tp_loss)
+    if not all(np.isfinite(terms)):
+        raise FloatingPointError(f"non-finite loss component: {terms}")
+    parts.total = (weights.lambda_v * parts.value_loss
+                   + weights.lambda_pi * parts.policy_loss
+                   - weights.lambda_h * parts.entropy)
+    if parts.tp_on:
+        parts.total += weights.lambda_tp * parts.tp_loss
+
+    # d(-log pi(a))/d logits is probs minus the taken action's indicator.
+    d_pi = probs.copy()
+    d_pi[rows, actions] -= 1.0
+    d_logits = weights.lambda_pi * adv[:, None] * d_pi / T
+    d_logits += weights.lambda_h * probs * (logp + ent[:, None]) / T
+    d_values = weights.lambda_v * (-2.0 / T) * (ret - values)
+    return parts, d_logits, d_values, d_u
 
 
 class TPLabeler:

@@ -6,9 +6,10 @@ every dense layer in checkpoint manifest order, and `init_model`, the trunk
 loop and `harness.evaluate`'s checkpoint check all read it. Forward and
 backward passes are hand-written on top of the nn core. The objective itself
 (policy gradient with a constant advantage, squared value error, entropy
-bonus, terminal-prediction MSE) and the switch for its terminal-prediction
-term live in `losses.loss_parts`; the backward pass takes the parts from
-there and adds only their gradients, in one sweep.
+bonus, terminal-prediction MSE), its gradient at the three heads and the
+switch for its terminal-prediction term live in `losses.loss_parts`; the
+backward pass takes the head gradients from there and applies only the
+chain rule through the heads and the trunk, in one sweep.
 
 There are two forward entry points. `act` takes one observation and
 returns only what acting needs, the policy row and the value: the
@@ -70,11 +71,6 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     z = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=-1, keepdims=True)
-
-
-def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=-1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
 
 def forward_batch(params: ParamSet, cfg: ModelConfig, obs: np.ndarray):
@@ -145,47 +141,27 @@ def backward_batch(params: ParamSet, cfg: ModelConfig, cache, actions,
                    advantages, returns, tp_targets, weights: LossWeights):
     """Gradients of the combined rollout loss w.r.t. every parameter.
 
-    The loss parts, and whether the terminal-prediction term is on, come
-    from `losses.loss_parts`; this function only adds the gradient
-    arithmetic. With the term off (tp_targets None or lambda_tp == 0) the
-    terminal-prediction head contributes nothing (not even zero-valued
-    arrays are added), so the result is bitwise identical to a plain
-    actor-critic backward.
+    The loss parts and their gradients at the three heads come from
+    `losses.loss_parts`, which alone switches the terminal-prediction term;
+    this function applies only the chain rule. With the term off
+    (tp_targets None or lambda_tp == 0) the terminal-prediction head
+    contributes nothing (not even zero-valued arrays are added), so the
+    result is bitwise identical to a plain actor-critic backward.
     Returns (grads: ParamSet, parts: LossParts).
     """
-    probs, v = cache["probs"], cache["values"]
-    T, A = probs.shape
-    logp = _log_softmax(cache["logits"])
-    parts = loss_parts(logp, probs, v, cache["tp_pred"], actions, advantages,
-                       returns, tp_targets, weights)
-    actions = np.asarray(actions, dtype=np.intp)
-    adv = np.asarray(advantages, dtype=np.float64)
-    ret = np.asarray(returns, dtype=np.float64)
-    onehot = np.zeros((T, A))
-    onehot[np.arange(T), actions] = 1.0
-    ent = -np.sum(probs * logp, axis=1)
-
-    # Policy-head logit gradient: policy term + entropy term.
-    d_logits = weights.lambda_pi * adv[:, None] * (probs - onehot) / T
-    d_logits += weights.lambda_h * probs * (logp + ent[:, None]) / T
-    # Value-head gradient.
-    d_v = weights.lambda_v * (-2.0 / T) * (ret - v)
-
+    parts, d_logits, d_v, d_u = loss_parts(
+        cache["logits"], cache["probs"], cache["values"], cache["tp_pred"], actions,
+        advantages, returns, tp_targets, weights)
     grads = params.zeros_like()
     g, t = grads.tensors, params.tensors
-    h = cache["post"][-1]
+    post = cache["post"]
+    h = post[-1]
     # The heads are linear, so their pre-activation gradient is the incoming one.
     d_h = (dense_backward(h, d_logits, t["policy.W"], g["policy.W"], g["policy.b"])
            + dense_backward(h, d_v[:, None], t["value.W"], g["value.W"], g["value.b"]))
-    if parts.tp_on:
-        # d/du of (y - sigmoid(u))^2, averaged over the rollout. Without the
-        # term the head's parameters keep their zero gradients.
-        y = np.asarray(tp_targets, dtype=np.float64)
-        p = cache["tp_pred"]
-        d_u = weights.lambda_tp * (-2.0 / T) * (y - p) * p * (1.0 - p)
+    if d_u is not None:
+        # Without the term the head's parameters keep their zero gradients.
         d_h = d_h + dense_backward(h, d_u[:, None], t["tp.W"], g["tp.W"], g["tp.b"])
-
-    post = cache["post"]
     for i in range(len(cfg.trunk_keys) - 1, -1, -1):
         wkey, bkey = cfg.trunk_keys[i]
         a = post[i + 1]
@@ -209,5 +185,5 @@ def rollout_loss(params: ParamSet, cfg: ModelConfig, obs, actions, advantages,
     """Scalar combined loss from a forward pass alone, used by
     finite-difference gradient checks of `backward_batch`."""
     probs, v, tp, cache = forward_batch(params, cfg, obs)
-    return loss_parts(_log_softmax(cache["logits"]), probs, v, tp, actions,
-                      advantages, returns, tp_targets, weights).total
+    return loss_parts(cache["logits"], probs, v, tp, actions, advantages, returns,
+                      tp_targets, weights)[0].total

@@ -256,10 +256,20 @@ class AdamState:
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "AdamState":
+        """Raises ValueError on what the tensor parser rejects, and on a
+        missing step/lr/beta1/beta2/eps field, a tensor name without an
+        `m:` or `v:` prefix, or `m` and `v` layouts that differ."""
         layout, flat, extra = _tensors_from_bytes(blob)
+        missing = [k for k in ("step", "lr", "beta1", "beta2", "eps") if k not in extra]
+        if missing:
+            raise ValueError(f"Adam state blob lacks the field(s) {', '.join(missing)}")
         tensors = {name: flat[start:stop].reshape(shape) for name, shape, start, stop in layout}
         m = ParamSet({k[2:]: v for k, v in tensors.items() if k.startswith("m:")})
         v = ParamSet({k[2:]: v for k, v in tensors.items() if k.startswith("v:")})
+        if len(m.layout) + len(v.layout) != len(layout):
+            raise ValueError("Adam state blob has a tensor named without an m: or v: prefix")
+        if m.layout != v.layout:
+            raise ValueError("Adam state m and v tensors differ in names, order or shapes")
         return cls(m=m, v=v, step=int(extra["step"]), lr=float(extra["lr"]),
                    beta1=float(extra["beta1"]), beta2=float(extra["beta2"]),
                    eps=float(extra["eps"]))

@@ -49,10 +49,12 @@ so rows arrive in index order, and copies the parameters when a periodic
 checkpoint is due; the file is written after the lock is released.
 
 A run is described by one `RunConfig`, which `train` reads directly. The
-trainer computes the loss parts nowhere itself: `losses.loss_parts` does,
-and it alone switches the terminal-prediction term. Plain A3C is decided
-once, by `RunConfig.weights`, which gives it `lambda_tp = 0`; `train`
-builds those weights once and hands them to the workers.
+trainer computes the loss nowhere itself: `losses.loss_parts` owns the
+objective, its gradient at the three heads and the terminal-prediction
+switch, and `model.backward_batch` applies only the chain rule through the
+network. Plain A3C is decided once, by `RunConfig.weights`, which gives it
+`lambda_tp = 0`; `train` builds those weights once and hands them to the
+workers.
 """
 
 from __future__ import annotations

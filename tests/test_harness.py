@@ -393,6 +393,12 @@ class TestEvaluate:
         assert 0.0 <= report.mean_reward <= 1.0
         assert report.outcome_counts == {}
 
+    @pytest.mark.parametrize("episodes", [0, -3])
+    def test_rejects_episodes_below_one(self, tmp_path, episodes):
+        # Raised before the checkpoint is read: this path does not exist.
+        with pytest.raises(ValueError, match="episodes must be at least 1"):
+            evaluate(str(tmp_path / "absent.ckpt"), "gridgoal", episodes=episodes, seed=0)
+
     def test_same_seed_same_report(self, tmp_path):
         ckpt = self._checkpoint(tmp_path, 16, 4)
         kw = dict(env_kwargs={"size": 4, "max_steps": 30})
@@ -492,3 +498,11 @@ class TestCli:
         for size in ("0", "1"):
             with pytest.raises(ValueError, match="size must be at least 2"):
                 cli_main(["evaluate", ckpt, "--env", "gridgoal", "--env-size", size])
+
+    def test_evaluate_rejects_episodes_below_one(self, tmp_path, capsys):
+        params = init_model(ModelConfig(64, 4, (8,)), np.random.default_rng(0))
+        ckpt = str(tmp_path / "m.ckpt")
+        params.save(ckpt)
+        with pytest.raises(ValueError, match="episodes must be at least 1, not -3"):
+            cli_main(["evaluate", ckpt, "--env", "gridgoal", "--episodes", "-3"])
+        assert "mean_reward" not in capsys.readouterr().out

@@ -3,11 +3,11 @@ terminal-prediction labels and the running-average episode tracker."""
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from a3ctp.losses import (
-    LossWeights, TPLabeler, advantages, combined_loss, entropy, loss_parts,
-    n_step_returns, tp_loss, tp_targets,
+    LossWeights, TPLabeler, advantages, entropy, loss_parts, n_step_returns,
+    tp_loss, tp_targets,
 )
 
 
@@ -136,71 +136,156 @@ class TestTPLoss:
             tp_loss([0.1], [0.1, 0.2])
 
 
-class TestCombinedLoss:
-    def test_all_zero_components(self):
-        assert combined_loss(0, 0, 0, 0, LossWeights()) == 0.0
+def _softmax(logits):
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
-    def test_lambda_tp_zero_recovers_base_loss_bitwise(self):
-        w0 = LossWeights(lambda_tp=0.0)
-        base = combined_loss(0.3, 0.7, 1.1, 0.9, w0)
-        expected = w0.lambda_v * 0.7 + w0.lambda_pi * 0.3 - w0.lambda_h * 1.1
-        assert base == expected
 
-    def test_default_weights_arithmetic(self):
-        # weights (0.5, 1.0, 0.01, 0.5) on unit components
-        assert np.isclose(combined_loss(1, 1, 1, 1, LossWeights()), 1.99)
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(FloatingPointError):
-            combined_loss(np.nan, 0, 0, 0, LossWeights())
+def _sigmoid(u):
+    return 1.0 / (1.0 + np.exp(-u))
 
 
 def _rollout_outputs(T=9, A=4, seed=0):
     rng = np.random.default_rng(seed)
     logits = rng.normal(size=(T, A))
-    z = logits - logits.max(axis=1, keepdims=True)
-    logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
-    return (logp, np.exp(logp), rng.normal(size=T), rng.random(T),
+    return (logits, _softmax(logits), rng.normal(size=T), rng.random(T),
             rng.integers(0, A, size=T), rng.normal(size=T), rng.normal(size=T),
             rng.random(T))
 
 
+def _base_total(parts, w):
+    """The objective without its terminal-prediction term, in loss_parts' order."""
+    return w.lambda_v * parts.value_loss + w.lambda_pi * parts.policy_loss - w.lambda_h * parts.entropy
+
+
 class TestLossParts:
     def test_parts_are_the_component_losses(self):
-        logp, probs, v, tp, actions, adv, ret, y = _rollout_outputs()
+        logits, probs, v, tp, actions, adv, ret, y = _rollout_outputs()
         w = LossWeights()
-        parts = loss_parts(logp, probs, v, tp, actions, adv, ret, y, w)
+        parts, _, _, d_u = loss_parts(logits, probs, v, tp, actions, adv, ret, y, w)
         T = len(actions)
-        assert parts.tp_on
+        logp = np.log(probs)
+        assert parts.tp_on and d_u is not None
         assert np.isclose(parts.policy_loss, np.mean(-logp[np.arange(T), actions] * adv))
         assert np.isclose(parts.value_loss, np.mean((ret - v) ** 2))
         assert np.isclose(parts.entropy, np.mean([entropy(p) for p in probs]))
         assert parts.tp_loss == tp_loss(y, tp)
-        assert parts.total == combined_loss(parts.policy_loss, parts.value_loss,
-                                            parts.entropy, parts.tp_loss, w)
+        assert parts.total == _base_total(parts, w) + w.lambda_tp * parts.tp_loss
 
     @pytest.mark.parametrize("with_targets,lambda_tp", [(False, 0.5), (True, 0.0), (False, 0.0)])
     def test_tp_term_off_without_targets_or_weight(self, with_targets, lambda_tp):
-        logp, probs, v, tp, actions, adv, ret, y = _rollout_outputs(seed=1)
+        logits, probs, v, tp, actions, adv, ret, y = _rollout_outputs(seed=1)
         w = LossWeights(lambda_tp=lambda_tp)
-        off = loss_parts(logp, probs, v, tp, actions, adv, ret,
-                         y if with_targets else None, w)
-        base = combined_loss(off.policy_loss, off.value_loss, off.entropy, 0.0,
-                             LossWeights(lambda_tp=0.0))
-        assert not off.tp_on and off.tp_loss == 0.0 and off.total == base
+        off, _, _, d_u = loss_parts(logits, probs, v, tp, actions, adv, ret,
+                                    y if with_targets else None, w)
+        assert not off.tp_on and off.tp_loss == 0.0 and d_u is None
+        assert off.total == _base_total(off, w)
+
+    def test_lambda_tp_zero_recovers_base_loss_bitwise(self):
+        """The total at lambda_tp = 0 is the plain actor-critic objective, bit
+        for bit, and so is every head gradient but the absent d_u."""
+        logits, probs, v, tp, actions, adv, ret, y = _rollout_outputs(seed=4)
+        w0 = LossWeights(lambda_tp=0.0)
+        base, d_logits0, d_v0, d_u = loss_parts(logits, probs, v, tp, actions, adv, ret, y, w0)
+        on, d_logits, d_v, _ = loss_parts(logits, probs, v, tp, actions, adv, ret, y,
+                                          LossWeights())
+        assert d_u is None
+        assert base.total == _base_total(on, w0)
+        assert np.array_equal(d_logits0, d_logits) and np.array_equal(d_v0, d_v)
+
+    def test_default_weights_arithmetic(self):
+        """Weights (0.5, 1.0, 0.01, 0.5) on unit parts give 1.99."""
+        # One row of 3 actions with logits (0, c, c): bisect c for entropy 1.
+        lo, hi = -20.0, 0.0
+        for _ in range(100):
+            c = (lo + hi) / 2
+            lo, hi = (c, hi) if entropy(_softmax(np.array([0.0, c, c]))) < 1.0 else (lo, c)
+        logits = np.array([[0.0, c, c]])
+        probs = _softmax(logits)
+        adv = np.array([-1.0 / np.log(probs[0, 0])])  # -log pi(a) * A = 1
+        parts, _, _, _ = loss_parts(logits, probs, np.zeros(1), np.zeros(1), [0], adv,
+                                    np.ones(1), np.ones(1), LossWeights())
+        for x in (parts.policy_loss, parts.value_loss, parts.entropy, parts.tp_loss):
+            assert np.isclose(x, 1.0)
+        assert np.isclose(parts.total, 1.99)
+
+    def test_all_zero_parts_total_zero(self):
+        # A deterministic policy (zero entropy), zero advantages, exact values
+        # and exact terminal predictions.
+        logits = np.array([[0.0, -1000.0], [-1000.0, 0.0]])
+        probs = _softmax(logits)
+        parts, _, _, _ = loss_parts(logits, probs, np.array([0.3, -0.2]), np.array([0.1, 0.9]),
+                                    [0, 1], np.zeros(2), np.array([0.3, -0.2]),
+                                    np.array([0.1, 0.9]), LossWeights())
+        assert parts.tp_on
+        for x in (parts.policy_loss, parts.value_loss, parts.entropy, parts.tp_loss):
+            assert x == 0.0
+        assert parts.total == 0.0
 
     def test_rejects_actions_out_of_range(self):
-        logp, probs, v, tp, actions, adv, ret, y = _rollout_outputs(seed=2)
+        logits, probs, v, tp, actions, adv, ret, y = _rollout_outputs(seed=2)
         for bad in (-1, probs.shape[1]):
             actions[0] = bad
             with pytest.raises(IndexError):
-                loss_parts(logp, probs, v, tp, actions, adv, ret, y, LossWeights())
+                loss_parts(logits, probs, v, tp, actions, adv, ret, y, LossWeights())
 
     def test_non_finite_part_raises(self):
-        logp, probs, v, tp, actions, adv, ret, y = _rollout_outputs(seed=3)
+        logits, probs, v, tp, actions, adv, ret, y = _rollout_outputs(seed=3)
         v[0] = np.inf
         with pytest.raises(FloatingPointError):
-            loss_parts(logp, probs, v, tp, actions, adv, ret, y, LossWeights())
+            loss_parts(logits, probs, v, tp, actions, adv, ret, y, LossWeights())
+
+    def test_non_finite_rejected(self):
+        # A NaN advantage makes the policy part NaN; a NaN prediction the tp part.
+        logits, probs, v, tp, actions, adv, ret, y = _rollout_outputs(seed=5)
+        for arr in (adv, tp):
+            arr[0] = np.nan
+            with pytest.raises(FloatingPointError):
+                loss_parts(logits, probs, v, tp, actions, adv, ret, y, LossWeights())
+            arr[0] = 0.5
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 8), st.integers(2, 6), st.integers(0, 2**32 - 1), st.booleans(),
+           st.sampled_from([0.0, 0.5, 2.0]), st.sampled_from([0.0, 0.01, 0.3]))
+    def test_head_gradients_match_central_differences(self, T, A, seed, with_targets,
+                                                       lambda_tp, lambda_h):
+        """d_logits, d_values and d_u against central differences of the
+        total, with probs the softmax of the logits and tp_pred the sigmoid
+        of the TP head's pre-sigmoid output u."""
+        rng = np.random.default_rng(seed)
+        logits, v, u = rng.normal(size=(T, A)), rng.normal(size=T), rng.normal(size=T)
+        actions = rng.integers(0, A, size=T)
+        adv, ret = rng.normal(size=T), rng.normal(size=T)
+        y = rng.random(T) if with_targets else None
+        w = LossWeights(lambda_h=lambda_h, lambda_tp=lambda_tp)
+
+        def total(logits, v, u):
+            return loss_parts(logits, _softmax(logits), v, _sigmoid(u), actions, adv, ret,
+                              y, w)[0].total
+
+        parts, d_logits, d_v, d_u = loss_parts(logits, _softmax(logits), v, _sigmoid(u),
+                                               actions, adv, ret, y, w)
+        assert (d_u is None) == (not parts.tp_on)
+        assert parts.tp_on == (with_targets and lambda_tp != 0.0)
+        eps = 1e-6
+
+        def central(x, rebuild):
+            g = np.zeros_like(x)
+            for i in np.ndindex(x.shape):
+                hi, lo = x.copy(), x.copy()
+                hi[i] += eps
+                lo[i] -= eps
+                g[i] = (total(*rebuild(hi)) - total(*rebuild(lo))) / (2 * eps)
+            return g
+
+        tol = dict(rtol=1e-5, atol=1e-7)
+        assert np.allclose(d_logits, central(logits, lambda x: (x, v, u)), **tol)
+        assert np.allclose(d_v, central(v, lambda x: (logits, x, u)), **tol)
+        d_u_num = central(u, lambda x: (logits, v, x))
+        if d_u is None:
+            assert np.all(d_u_num == 0.0)
+        else:
+            assert np.allclose(d_u, d_u_num, **tol)
 
 
 class TestLossWeights:

@@ -478,3 +478,58 @@ class TestStrictParser:
     def test_rejects_truncated_data(self):
         with pytest.raises(ValueError):
             ParamSet.from_bytes(self._blob()[:-8])
+
+
+ADAM_FIELDS = ("step", "lr", "beta1", "beta2", "eps")
+
+
+class TestAdamStateParser:
+    def _state(self):
+        params = ParamSet({"a": np.arange(3.0), "b": np.ones((2, 2))})
+        state = AdamState.for_params(params, lr=2e-4)
+        adam_step(params, params.copy(), state)
+        return state
+
+    @settings(max_examples=60, deadline=None)
+    @given(tensor_dicts(), st.integers(0, 2**62),
+           st.floats(min_value=0.0, allow_infinity=False, width=64))
+    def test_roundtrip_property(self, tensors, step, lr):
+        m = ParamSet(tensors)
+        v = ParamSet({k: -t for k, t in tensors.items()})
+        state = AdamState(m=m, v=v, step=step, lr=lr)
+        restored = AdamState.from_bytes(state.to_bytes())
+        assert (restored.step, restored.lr) == (step, lr)
+        assert (restored.beta1, restored.beta2, restored.eps) == (0.9, 0.999, 1e-8)
+        assert restored.m.names() == restored.v.names() == list(tensors)
+        assert restored.m.equal_bits(m) and restored.v.equal_bits(v)
+        assert restored.to_bytes() == state.to_bytes()
+
+    @pytest.mark.parametrize("field", ADAM_FIELDS)
+    def test_rejects_missing_field(self, field):
+        lines = self._state().to_bytes().split(b"\n")
+        blob = b"\n".join(l for l in lines if not l.startswith(f"field {field} ".encode()))
+        with pytest.raises(ValueError, match=field):
+            AdamState.from_bytes(blob)
+
+    def test_rejects_paramset_checkpoint(self):
+        blob = ParamSet({"a": np.arange(3.0)}, version=5).to_bytes()
+        with pytest.raises(ValueError, match="step"):
+            AdamState.from_bytes(blob)
+
+    def test_rejects_unprefixed_tensor(self):
+        blob = self._state().to_bytes().replace(b"tensor m:a ", b"tensor xxa ", 1)
+        with pytest.raises(ValueError, match="prefix"):
+            AdamState.from_bytes(blob)
+
+    @pytest.mark.parametrize("m,v", [
+        ({"a": np.zeros(3)}, {"c": np.zeros(3)}),
+        ({"a": np.zeros(3)}, {"a": np.zeros((3, 1))}),
+        ({"a": np.zeros(3), "b": np.zeros(1)}, {"b": np.zeros(1), "a": np.zeros(3)}),
+        ({"a": np.zeros(3)}, {}),
+    ], ids=["names", "shapes", "order", "no-v"])
+    def test_rejects_m_and_v_layouts_that_differ(self, m, v):
+        tensors = {f"m:{k}": t for k, t in m.items()}
+        tensors.update({f"v:{k}": t for k, t in v.items()})
+        extra = {k: "1" for k in ADAM_FIELDS}
+        with pytest.raises(ValueError, match="differ"):
+            AdamState.from_bytes(per_tensor_to_bytes(tensors, extra))
