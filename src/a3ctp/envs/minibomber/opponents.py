@@ -7,9 +7,13 @@ list each step:
      cell, a path whose cells the flames do not reach first; with no such
      path, step onto the neighbour that burns latest
   2. place a bomb when an enemy or wood sits inside the current blast
-     radius and a safe retreat cell exists
+     radius and a safe retreat cell exists; the blast is built once, and
+     the retreat is searched on the danger map plus that blast at
+     BOMB_TIMER
   3. walk a shortest path to the nearest visible power-up, else toward the
-     nearest reachable wood or the enemy
+     nearest reachable wood or the enemy; one breadth-first search over
+     danger-free open cells finds the target and the first moves of its
+     shortest paths
   4. stay put
 Candidate moves come in the board's neighbour order (up, down, left,
 right), and the caller's rng picks among equally good moves; it is
@@ -27,7 +31,10 @@ from collections import deque
 
 import numpy as np
 
-from .board import BOMB, STAY, WOOD, BomberBoard
+from .board import BOMB, BOMB_TIMER, STAY, WOOD, BomberBoard
+
+# Steps until flames reach a cell no live bomb or flame covers.
+NEVER = 10 ** 9
 
 
 def static_opponent(board: BomberBoard, agent_id: int = 1) -> int:
@@ -45,7 +52,7 @@ def danger_map(board: BomberBoard) -> dict[tuple[int, int], int]:
     danger: dict[tuple[int, int], int] = {}
     for b in board.bombs:
         for cell in board.blast_cells(b.row, b.col, b.radius):
-            danger[cell] = min(danger.get(cell, 10 ** 9), b.timer)
+            danger[cell] = min(danger.get(cell, NEVER), b.timer)
     for f in board.flames:
         if f.life >= 2:  # still burning after the next flame tick
             danger[(f.row, f.col)] = 0
@@ -56,23 +63,6 @@ def _walkable(board: BomberBoard, agent_id: int, r: int, c: int) -> bool:
     """An open cell with no other agent and no flame on it."""
     return (board.open_cell(r, c) and board.agent_at(r, c, exclude=agent_id) is None
             and board.flame_at(r, c) is None)
-
-
-def dijkstra(board: BomberBoard, start: tuple[int, int],
-             blocked: set[tuple[int, int]] | None = None) -> dict[tuple[int, int], int]:
-    """Shortest path lengths from start over open cells. Every edge costs
-    1, so this is a breadth-first search. `blocked` cells are not entered."""
-    blocked = blocked or set()
-    dist = {start: 0}
-    frontier = deque([start])
-    while frontier:
-        r, c = frontier.popleft()
-        d = dist[(r, c)] + 1
-        for _, cell in board.neighbors(r, c):
-            if cell not in dist and cell not in blocked and board.open_cell(*cell):
-                dist[cell] = d
-                frontier.append(cell)
-    return dist
 
 
 def _escape_route(board: BomberBoard, agent_id: int,
@@ -96,7 +86,7 @@ def _escape_route(board: BomberBoard, agent_id: int,
         nxt: dict[tuple[int, int], list[int]] = {}
         for pos, firsts in level.items():
             for action, cell in board.neighbors(*pos):
-                if (cell in seen or danger.get(cell, 10 ** 9) <= d  # flames beat us there
+                if (cell in seen or danger.get(cell, NEVER) <= d  # flames beat us there
                         or not _walkable(board, agent_id, *cell)):
                     continue
                 first = firsts[0] if firsts else action  # the start has no first move
@@ -111,27 +101,62 @@ def _escape_route(board: BomberBoard, agent_id: int,
     return []
 
 
-def _has_retreat_after_bombing(board: BomberBoard, agent_id: int,
-                               danger: dict[tuple[int, int], int]) -> bool:
-    """Would a bomb dropped here still leave a reachable safe cell?"""
-    me = board.agents[agent_id]
-    with_mine = dict(danger)
-    for cell in board.blast_cells(me.row, me.col, me.blast_radius):
-        with_mine[cell] = min(with_mine.get(cell, 10 ** 9), 10)
-    return bool(_escape_route(board, agent_id, with_mine))
-
-
-def _bomb_worth_placing(board: BomberBoard, agent_id: int) -> bool:
+def _bomb_pays(board: BomberBoard, agent_id: int,
+               danger: dict[tuple[int, int], int]) -> bool:
+    """Rule (2): the opponent has ammo, no bomb lies under it, wood or
+    another agent sits inside its blast, and an escape route remains on
+    the danger map plus that blast at BOMB_TIMER."""
     me = board.agents[agent_id]
     if me.ammo <= 0 or board.bomb_at(me.row, me.col) is not None:
         return False
-    for (r, c) in board.blast_cells(me.row, me.col, me.blast_radius):
-        if board.grid[r, c] == WOOD:
-            return True
-        other = board.agent_at(r, c, exclude=agent_id)
-        if other is not None:
-            return True
-    return False
+    blast = board.blast_cells(me.row, me.col, me.blast_radius)
+    if not any(board.grid[cell] == WOOD or board.agent_at(*cell, exclude=agent_id) is not None
+               for cell in blast):
+        return False
+    with_mine = dict(danger)
+    for cell in blast:
+        with_mine[cell] = min(with_mine.get(cell, NEVER), BOMB_TIMER)
+    return bool(_escape_route(board, agent_id, with_mine))
+
+
+def _approach(board: BomberBoard, agent_id: int,
+              danger: dict[tuple[int, int], int]) -> list[int]:
+    """Rule (3): first moves of shortest paths to the nearest target.
+
+    One breadth-first search from the opponent over open cells outside
+    `danger` records each reached cell's distance and the set of first
+    moves of its shortest paths, and collects the reached cells that hold
+    a visible power-up or lie next to wood or the live enemy. The target
+    is the smallest (distance, cell) power-up, else approach cell; its
+    first moves come sorted, which is neighbour order. Empty when no
+    target is reached.
+    """
+    start = board.agents[agent_id].pos
+    foe = board.agents[1 - agent_id]
+    foe_pos = foe.pos if foe.alive else None
+    dist = {start: 0}
+    firsts: dict[tuple[int, int], set[int]] = {start: set()}
+    powerups, approach = [], []  # (distance, cell) of each target kind
+    frontier = deque([start])
+    while frontier:
+        pos = frontier.popleft()
+        d = dist[pos] + 1
+        for action, cell in board.neighbors(*pos):
+            if cell not in dist:
+                if cell in danger or not board.open_cell(*cell):
+                    continue
+                dist[cell] = d
+                firsts[cell] = set()
+                frontier.append(cell)
+                if board.visible_powerup[cell]:
+                    powerups.append((d, cell))
+                elif any(board.grid[near] == WOOD or near == foe_pos
+                         for _, near in board.neighbors(*cell)):
+                    approach.append((d, cell))
+            if dist[cell] == d:
+                firsts[cell] |= firsts[pos] or {action}  # the start has no first move
+    targets = powerups or approach
+    return sorted(firsts[min(targets)[1]]) if targets else []
 
 
 def rulebased_opponent(board: BomberBoard, agent_id: int, rng: np.random.Generator) -> int:
@@ -148,52 +173,19 @@ def rulebased_opponent(board: BomberBoard, agent_id: int, rng: np.random.Generat
         # No path to safety: step toward the latest-detonating neighbor.
         best, best_t = STAY, danger[me.pos]
         for action, cell in board.neighbors(*me.pos):
-            t = danger.get(cell, 10 ** 9)
+            t = danger.get(cell, NEVER)
             if t > best_t and _walkable(board, agent_id, *cell):
                 best, best_t = action, t
         return best
 
     # (2) drop a bomb when something is in range and a retreat exists
-    if _bomb_worth_placing(board, agent_id):
-        if _has_retreat_after_bombing(board, agent_id, danger):
-            return BOMB
+    if _bomb_pays(board, agent_id, danger):
+        return BOMB
 
-    # (3) walk toward the nearest power-up, else wood/enemy. The graph of
-    # open, unblocked cells is undirected, so one search from the target
-    # gives every neighbour's distance back to it.
-    blocked = set(danger)
-    dist = dijkstra(board, me.pos, blocked=blocked)
-    target = _nearest_target(board, agent_id, dist)
-    if target is not None:
-        goal_d = dist[target]
-        back = dijkstra(board, target, blocked=blocked)
-        candidates = [action for action, cell in board.neighbors(*me.pos)
-                      if dist.get(cell) == 1 and back.get(cell) == goal_d - 1]
-        if candidates:
-            return int(rng.choice(candidates))
+    # (3) walk toward the nearest power-up, else wood/enemy
+    moves = _approach(board, agent_id, danger)
+    if moves:
+        return int(rng.choice(moves))
 
     # (4) nothing to do
     return STAY
-
-
-def _nearest_target(board: BomberBoard, agent_id: int,
-                    dist: dict[tuple[int, int], int]) -> tuple[int, int] | None:
-    """Nearest reachable visible power-up; failing that, nearest cell
-    adjacent to wood or to the enemy."""
-    powerups = [(d, cell) for cell, d in dist.items()
-                if d > 0 and board.visible_powerup[cell]]
-    if powerups:
-        return min(powerups)[1]
-    approach = []
-    foe = board.agents[1 - agent_id]
-    foe_pos = foe.pos if foe.alive else None
-    for cell, d in dist.items():
-        if d == 0:
-            continue
-        for _, near in board.neighbors(*cell):
-            if board.grid[near] == WOOD or near == foe_pos:
-                approach.append((d, cell))
-                break
-    if approach:
-        return min(approach)[1]
-    return None

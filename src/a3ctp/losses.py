@@ -97,7 +97,7 @@ def entropy(policy) -> float:
     if np.any(p < 0) or abs(float(p.sum()) - 1.0) > 1e-6:
         raise ValueError("policy is not a probability distribution")
     nz = p[p > 0.0]
-    return float(-np.sum(nz * np.log(nz)))
+    return 0.0 - float(np.sum(nz * np.log(nz)))  # +0.0, not -0.0, for a one-hot
 
 
 def tp_targets(step_indices, horizon: float) -> np.ndarray:

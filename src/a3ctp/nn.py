@@ -131,9 +131,13 @@ class ParamSet:
 
 
 def _layout(shapes) -> tuple:
-    """(name, shape, start, stop) per tensor, packed back to back."""
+    """(name, shape, start, stop) per tensor, packed back to back. Raises
+    ValueError for an empty name or one holding whitespace, which the
+    checkpoint header could not carry."""
     layout, start = [], 0
     for name, shape in shapes:
+        if not name or any(ch.isspace() for ch in name):
+            raise ValueError(f"tensor name {name!r} is empty or holds whitespace")
         stop = start + math.prod(shape)
         layout.append((name, tuple(shape), start, stop))
         start = stop
@@ -188,7 +192,7 @@ def _tensors_from_bytes(blob: bytes) -> tuple[tuple, np.ndarray, dict[str, str]]
             extra[parts[1]] = " ".join(parts[2:])
         elif parts[0] == "tensors" and len(parts) == 2 and count is None and parts[1].isdigit():
             count = int(parts[1])
-        elif parts[0] == "tensor" and len(parts) == 3 and parts[1]:
+        elif parts[0] == "tensor" and len(parts) == 3:
             shapes.append((parts[1], _parse_dims(parts[2])))
         else:
             raise ValueError(f"malformed header line {line[:60]!r}")

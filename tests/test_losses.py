@@ -1,6 +1,8 @@
 """Loss and target tests, including property tests for the
 terminal-prediction labels and the running-average episode tracker."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -72,7 +74,8 @@ class TestEntropy:
         assert np.isclose(entropy(np.full(6, 1 / 6)), np.log(6))
 
     def test_one_hot_is_zero(self):
-        assert entropy([0.0, 1.0, 0.0]) == 0.0
+        h = entropy([0.0, 1.0, 0.0])
+        assert h == 0.0 and math.copysign(1.0, h) == 1.0  # +0.0, not -0.0
 
     def test_fair_coin_is_log_two(self):
         assert np.isclose(entropy([0.5, 0.5]), np.log(2))

@@ -17,7 +17,7 @@ from a3ctp.envs.minibomber.board import (
 from a3ctp.envs.minibomber.env import MiniBomber
 from a3ctp.envs.minibomber.obs import N_CHANNELS, encode_observation, obs_dim
 from a3ctp.envs.minibomber.opponents import (
-    danger_map, dijkstra, rulebased_opponent, static_opponent,
+    _approach, danger_map, rulebased_opponent, static_opponent,
 )
 from a3ctp.envs.minibomber.replay import load_replay, replay_board, save_replay
 
@@ -288,8 +288,7 @@ class TestRuleBasedOpponent:
     def test_first_move_follows_shortest_path_to_powerup(self):
         b = empty_board(a0=(0, 0), a1=(7, 7))
         b.visible_powerup[7, 0] = KICK
-        dist = dijkstra(b, (7, 7))
-        assert dist[(7, 0)] == 7
+        assert _approach(b, 1, danger_map(b)) == [LEFT]
         action = rulebased_opponent(b, 1, np.random.default_rng(0))
         assert action == LEFT  # the unique shortest-path direction along row 7
 

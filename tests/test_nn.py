@@ -414,6 +414,9 @@ class TestFlatBuffer:
 
 names = st.from_regex(r"[a-z][a-z0-9_.:]{0,10}", fullmatch=True)
 shapes = st.lists(st.integers(0, 4), max_size=3).map(tuple)  # () is a scalar
+# Any non-empty ASCII name without whitespace, control characters included.
+legal_names = st.text(st.characters(max_codepoint=127).filter(lambda ch: not ch.isspace()),
+                      min_size=1, max_size=8)
 
 
 @st.composite
@@ -479,6 +482,26 @@ class TestStrictParser:
         with pytest.raises(ValueError):
             ParamSet.from_bytes(self._blob()[:-8])
 
+    @pytest.mark.parametrize("name", ["", "a b", "x\ny", "a\tb"],
+                             ids=["empty", "space", "newline", "tab"])
+    def test_rejects_unwritable_name(self, name):
+        with pytest.raises(ValueError, match="whitespace"):
+            ParamSet({name: np.zeros(1)})
+
+    @pytest.mark.parametrize("name", [b"", b"a\tb"], ids=["empty", "tab"])
+    def test_rejects_unwritable_name_in_manifest(self, name):
+        blob = self._blob().replace(b"tensor a.b 3", b"tensor " + name + b" 3", 1)
+        with pytest.raises(ValueError, match="whitespace"):
+            ParamSet.from_bytes(blob)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(legal_names, min_size=1, max_size=4, unique=True))
+    def test_roundtrip_over_legal_names(self, keys):
+        tensors = {k: np.full(2, float(i)) for i, k in enumerate(keys)}
+        restored = ParamSet.from_bytes(ParamSet(tensors).to_bytes())
+        assert restored.names() == keys
+        assert restored.equal_bits(ParamSet(tensors))
+
 
 ADAM_FIELDS = ("step", "lr", "beta1", "beta2", "eps")
 
@@ -519,6 +542,12 @@ class TestAdamStateParser:
     def test_rejects_unprefixed_tensor(self):
         blob = self._state().to_bytes().replace(b"tensor m:a ", b"tensor xxa ", 1)
         with pytest.raises(ValueError, match="prefix"):
+            AdamState.from_bytes(blob)
+
+    def test_rejects_empty_name_after_prefix(self):
+        blob = self._state().to_bytes()
+        blob = blob.replace(b"tensor m:a ", b"tensor m: ", 1).replace(b"tensor v:a ", b"tensor v: ", 1)
+        with pytest.raises(ValueError, match="empty"):
             AdamState.from_bytes(blob)
 
     @pytest.mark.parametrize("m,v", [
