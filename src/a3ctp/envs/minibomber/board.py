@@ -11,20 +11,22 @@ Board layout and dynamics:
 
 Per-step phase order (normative for this implementation; trace tests assert
 against it):
-  1. flame tick: lifetimes decrement, expired flames vanish
-  2. bomb placement for agents choosing the bomb action
-  3. movement resolution, including bomb kicks; same-cell and swap
-     conflicts bounce both agents back
-  4. kicked/moving bombs slide one cell until obstructed
-  5. bomb tick (newly placed bombs skip this step's tick) and explosions:
-     expired bombs and bombs standing in a flame seed one worklist, and
-     each blast pushes the bombs on its cells; flames spawn (or refresh)
-     with lifetime 2 and carry the owners of every blast that covered
-     them; wood burns and reveals its hidden power-up if any
+  1. tick: flame lifetimes and bomb timers decrement, expired flames vanish
+  2. bomb placement for agents choosing the bomb action (timer 10)
+  3. movement resolution, including bomb kicks (the bomb moves one cell);
+     both agents are alive, and a shared target (a move onto a standing
+     agent included) or a swap bounces both and cancels both kicks
+  4. bombs kicked on earlier steps slide one cell until obstructed; this
+     step's kicks take their direction after the slide, so they slide from
+     the next step
+  5. explosions: expired bombs and bombs standing in a flame seed one
+     worklist, and each blast pushes the bombs on its cells; flames spawn
+     (or refresh) with lifetime 2 and carry the owners of every blast that
+     covered them; wood burns and reveals its hidden power-up if any
   6. deaths: agents standing in any flame die; each death records an
      owner of that flame, the agent itself if it is one
   7. power-up pickup
-  8. step counter advances; terminal check
+  8. step counter advances
 
 So a bomb placed during step t detonates during step t+10; its flames are
 visible after steps t+10 and t+11 and gone after step t+12.
@@ -68,8 +70,6 @@ class Bomb:
     timer: int
     radius: int
     direction: tuple[int, int] | None = None  # set while sliding from a kick
-    just_placed: bool = False
-    just_kicked: bool = False  # moved by a kick this step; slides from the next
 
 
 @dataclass
@@ -122,8 +122,9 @@ def _check_side(n: int) -> None:
 
 
 class BomberBoard:
-    """Full mutable board state for one episode. Raises ValueError for a
-    side n below 2, on which both agents would start on one cell."""
+    """Full mutable board state for one episode: exactly what board_to_text
+    writes, with `done` derived from it. Raises ValueError for a side n
+    below 2, on which both agents would start on one cell."""
 
     def __init__(self, n: int = 8, step_cap: int = DEFAULT_STEP_CAP):
         _check_side(n)
@@ -136,8 +137,12 @@ class BomberBoard:
         self.flames: list[Flame] = []
         self.agents = [AgentState(0, 0), AgentState(n - 1, n - 1)]
         self.step_count = 0
-        self.done = False
         self.killers: list[int | None] = [None, None]  # bomb owner per death
+
+    @property
+    def done(self) -> bool:
+        """At the step cap, or an agent is dead."""
+        return self.step_count >= self.step_cap or not all(a.alive for a in self.agents)
 
     # -- helpers ----------------------------------------------------------
 
@@ -197,33 +202,35 @@ class BomberBoard:
             if not 0 <= a < N_ACTIONS:
                 raise IndexError(f"invalid action {a}")
 
-        # 1. flame tick
+        # 1. tick
         for f in self.flames:
             f.life -= 1
         self.flames = [f for f in self.flames if f.life > 0]
+        for b in self.bombs:
+            b.timer -= 1
 
         # 2. bomb placement
         for i, action in enumerate(actions):
             agent = self.agents[i]
-            if (action == BOMB and agent.alive and agent.ammo > 0
-                    and self.bomb_at(agent.row, agent.col) is None):
-                self.bombs.append(Bomb(agent.row, agent.col, i, BOMB_TIMER,
-                                       agent.blast_radius, just_placed=True))
+            if action == BOMB and agent.ammo > 0 and self.bomb_at(agent.row, agent.col) is None:
+                self.bombs.append(Bomb(agent.row, agent.col, i, BOMB_TIMER, agent.blast_radius))
                 agent.ammo -= 1
 
         # 3. movement
-        self._resolve_movement(actions)
+        kicks = self._resolve_movement(actions)
 
-        # 4. bombs kicked earlier keep sliding
+        # 4. bombs kicked earlier keep sliding; this step's kicks slide next step
         self._slide_bombs()
+        for bomb, direction in kicks:
+            bomb.direction = direction
 
-        # 5. tick + explosions
-        self._tick_and_explode()
+        # 5. explosions
+        self._explode()
 
         # 6. deaths: the flame holds every owner whose blast covered its
         # cell; the agent's own bomb wins the attribution (suicide first).
         for i, agent in enumerate(self.agents):
-            flame = self.flame_at(agent.row, agent.col) if agent.alive else None
+            flame = self.flame_at(agent.row, agent.col)
             if flame is not None:
                 agent.alive = False
                 self.killers[i] = i if i in flame.owners else min(flame.owners, default=1 - i)
@@ -241,19 +248,17 @@ class BomberBoard:
                 self.visible_powerup[agent.row, agent.col] = NO_POWERUP
 
         # 8. bookkeeping
-        for b in self.bombs:
-            b.just_placed = False
         self.step_count += 1
-        if (not all(a.alive for a in self.agents)) or self.step_count >= self.step_cap:
-            self.done = True
 
-    def _resolve_movement(self, actions: tuple[int, int]) -> None:
+    def _resolve_movement(self, actions: tuple[int, int]) -> list[tuple[Bomb, tuple[int, int]]]:
+        """Move both agents, and each bomb they kick one cell with its
+        direction cleared; return the kicks as (bomb, direction) pairs."""
         origins = [a.pos for a in self.agents]
         targets = list(origins)
-        kicks: list[tuple[Bomb, tuple[int, int]] | None] = [None, None]
+        kicks: list[tuple[Bomb, tuple[int, int]]] = []
         for i, action in enumerate(actions):
             agent = self.agents[i]
-            if not agent.alive or action not in MOVE_DELTAS:
+            if action not in MOVE_DELTAS:
                 continue
             dr, dc = MOVE_DELTAS[action]
             r, c = agent.row + dr, agent.col + dc
@@ -265,37 +270,24 @@ class BomberBoard:
                 br, bc = r + dr, c + dc
                 if (agent.can_kick and self.open_cell(br, bc)
                         and self.agent_at(br, bc) is None):
-                    kicks[i] = (bomb, (dr, dc))
+                    kicks.append((bomb, (dr, dc)))
                     targets[i] = (r, c)
                 continue
             targets[i] = (r, c)
-        # Conflicts between the two agents: same target, or position swap.
-        if ((targets[0] == targets[1] and targets[0] != origins[0])
-                or (targets[0] == origins[1] and targets[1] == origins[0])):
-            targets = list(origins)
-            kicks = [None, None]
-        else:
-            for i in (0, 1):
-                other = 1 - i
-                if (targets[i] == origins[other] and targets[other] == origins[other]
-                        and self.agents[other].alive):
-                    targets[i] = origins[i]
-                    kicks[i] = None
+        # Conflicts between the two agents: a shared target, or a swap.
+        if targets[0] == targets[1] or (targets[0] == origins[1] and targets[1] == origins[0]):
+            return []
         for i in (0, 1):
-            if kicks[i] is not None:
-                bomb, (dr, dc) = kicks[i]
-                bomb.row += dr
-                bomb.col += dc
-                bomb.direction = (dr, dc)
-                bomb.just_kicked = True
             self.agents[i].row, self.agents[i].col = targets[i]
+        for bomb, (dr, dc) in kicks:
+            bomb.row += dr
+            bomb.col += dc
+            bomb.direction = None
+        return kicks
 
     def _slide_bombs(self) -> None:
         for b in self.bombs:
             if b.direction is None:
-                continue
-            if b.just_kicked:
-                b.just_kicked = False  # already moved this step via the kick
                 continue
             dr, dc = b.direction
             r, c = b.row + dr, b.col + dc
@@ -304,13 +296,10 @@ class BomberBoard:
             else:
                 b.direction = None
 
-    def _tick_and_explode(self) -> None:
-        """Decrement timers, then detonate every expired bomb and every bomb
-        standing in a flame, old or new, through one chain-reaction
-        worklist. Each blast cell's flame gains the bomb's owner."""
-        for b in self.bombs:
-            if not b.just_placed:
-                b.timer -= 1
+    def _explode(self) -> None:
+        """Detonate every expired bomb and every bomb standing in a flame,
+        old or new, through one chain-reaction worklist. Each blast cell's
+        flame gains the bomb's owner."""
         flame_cells = {(f.row, f.col) for f in self.flames}
         queue = [b for b in self.bombs if b.timer <= 0 or (b.row, b.col) in flame_cells]
         detonated: set[int] = {id(b) for b in queue}
@@ -540,9 +529,11 @@ def board_from_text(text: str) -> BomberBoard:
         if not board.in_bounds(r, c):
             raise ValueError(f"board text line {line!r}: cell ({r}, {c}) is off the {n}x{n} board")
         if tag == "agent":
-            board.agents.append(AgentState(r, c, alive=bool(int(kv["alive"])), ammo=int(kv["ammo"]),
+            if not {kv["alive"], kv["kick"]} <= {"0", "1"}:
+                raise ValueError(f"board text line {line!r}: alive and kick must be 0 or 1")
+            board.agents.append(AgentState(r, c, alive=kv["alive"] == "1", ammo=int(kv["ammo"]),
                                             blast_radius=int(kv["radius"]),
-                                            can_kick=bool(int(kv["kick"]))))
+                                            can_kick=kv["kick"] == "1"))
         elif tag == "bomb":
             owner, = _agents(line, kv["owner"])
             direction = None
@@ -559,6 +550,4 @@ def board_from_text(text: str) -> BomberBoard:
             powerups[r, c] = int(kv["kind"])
     if len(board.agents) != 2:
         raise ValueError(f"board text has {len(board.agents)} agents, not 2")
-    if not all(a.alive for a in board.agents) or board.step_count >= board.step_cap:
-        board.done = True
     return board

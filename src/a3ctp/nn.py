@@ -98,9 +98,10 @@ class ParamSet:
         return ParamSet._over(np.zeros_like(self.flat), self.layout, 0)
 
     def equal_bits(self, other: "ParamSet") -> bool:
-        if self.names() != other.names():
-            return False
-        return all(np.array_equal(self[k], other[k]) for k in self)
+        """Same names, shapes and order, and the same float64 bits: +0.0
+        and -0.0 differ, and a NaN equals the same NaN. The version is not
+        compared."""
+        return self.layout == other.layout and self.flat.tobytes() == other.flat.tobytes()
 
     def global_norm(self) -> float:
         # Summed tensor by tensor, so the result does not depend on the layout.
@@ -132,12 +133,12 @@ class ParamSet:
 
 def _layout(shapes) -> tuple:
     """(name, shape, start, stop) per tensor, packed back to back. Raises
-    ValueError for an empty name or one holding whitespace, which the
-    checkpoint header could not carry."""
+    ValueError for an empty name, or one holding whitespace or a non-ASCII
+    character, which the checkpoint header could not carry."""
     layout, start = [], 0
     for name, shape in shapes:
-        if not name or any(ch.isspace() for ch in name):
-            raise ValueError(f"tensor name {name!r} is empty or holds whitespace")
+        if not name or not name.isascii() or any(ch.isspace() for ch in name):
+            raise ValueError(f"tensor name {name!r} is empty or holds whitespace or non-ASCII")
         stop = start + math.prod(shape)
         layout.append((name, tuple(shape), start, stop))
         start = stop

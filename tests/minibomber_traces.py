@@ -149,6 +149,58 @@ def trace_move_into_stationary_agent_bounces():
     assert b.agents[0].pos == (0, 0)
 
 
+def trace_move_onto_standing_agent_0_bounces():
+    b = empty_board(a0=(0, 0), a1=(0, 1))
+    b.step((STAY, LEFT))
+    expected = empty_board(a0=(0, 0), a1=(0, 1))
+    expected.step_count = 1
+    assert board_to_text(b) == board_to_text(expected)
+
+
+def trace_agents_follow_into_vacated_cells():
+    # Agent 1 steps into the cell agent 0 leaves, then agent 0 into agent 1's.
+    b = empty_board(a0=(0, 0), a1=(0, 1))
+    b.step((DOWN, LEFT))
+    assert (b.agents[0].pos, b.agents[1].pos) == ((1, 0), (0, 0))
+    b.step((UP, RIGHT))
+    assert (b.agents[0].pos, b.agents[1].pos) == ((0, 0), (0, 1))
+
+
+def trace_bounced_kicker_leaves_bomb_unkicked():
+    # Both agents kick one bomb: a shared target, so both bounce.
+    b = empty_board(a0=(1, 0), a1=(0, 1))
+    for agent in b.agents:
+        agent.can_kick = True
+    b.bombs.append(Bomb(1, 1, 0, 30, 2))
+    b.step((RIGHT, DOWN))
+    expected = empty_board(a0=(1, 0), a1=(0, 1))
+    for agent in expected.agents:
+        agent.can_kick = True
+    expected.bombs.append(Bomb(1, 1, 0, 29, 2))
+    expected.step_count = 1
+    assert board_to_text(b) == board_to_text(expected)
+    # Agent 0 kicks the bomb agent 1 stands on: a move onto a standing agent.
+    b = empty_board(a0=(0, 0), a1=(0, 1))
+    b.agents[0].can_kick = True
+    b.bombs.append(Bomb(0, 1, 1, 30, 2))
+    b.step((RIGHT, STAY))
+    assert b.agents[0].pos == (0, 0)
+    assert (b.bombs[0].row, b.bombs[0].col, b.bombs[0].direction) == (0, 1, None)
+
+
+def trace_kicked_sliding_bomb_turns_from_next_step():
+    # A bomb sliding right is kicked down: it moves one cell with the kick
+    # and starts its downward slide on the next step, not this one.
+    b = empty_board(a0=(1, 2), a1=(7, 7))
+    b.agents[0].can_kick = True
+    b.bombs.append(Bomb(2, 2, 1, 30, 2, direction=(0, 1)))
+    b.step((DOWN, STAY))
+    assert b.agents[0].pos == (2, 2)
+    assert (b.bombs[0].row, b.bombs[0].col, b.bombs[0].direction) == (3, 2, (1, 0))
+    b.step((STAY, STAY))
+    assert (b.bombs[0].row, b.bombs[0].col, b.bombs[0].direction) == (4, 2, (1, 0))
+
+
 def trace_kick_slides_bomb_until_wall():
     b = empty_board(a0=(0, 0), a1=(7, 7))
     b.agents[0].can_kick = True
@@ -287,6 +339,10 @@ TRACES = [
     trace_same_target_conflict_bounces_both,
     trace_swap_conflict_bounces_both,
     trace_move_into_stationary_agent_bounces,
+    trace_move_onto_standing_agent_0_bounces,
+    trace_agents_follow_into_vacated_cells,
+    trace_bounced_kicker_leaves_bomb_unkicked,
+    trace_kicked_sliding_bomb_turns_from_next_step,
     trace_kick_slides_bomb_until_wall,
     trace_kick_without_ability_blocks,
     trace_timeout_is_tie_with_minus_one,

@@ -38,7 +38,8 @@ def _play_pinned_games(games=300):
     """Random play on 6x6, 8x8 and 10x10 boards with three step caps; on odd
     games both agents start able to kick, with three bombs each. Returns the
     digest and a tally of chain steps (a bomb goes off before its timer
-    runs out), kick steps (a bomb moves) and outcome causes."""
+    runs out), kick steps (a bomb moves), conflict steps (before the step,
+    the agents aim at one cell or at each other's) and outcome causes."""
     digest = hashlib.sha256()
     seen = Counter()
     for game in range(games):
@@ -49,7 +50,12 @@ def _play_pinned_games(games=300):
                 agent.can_kick, agent.ammo = True, 3
         while not board.done:
             before = {id(x): (x.timer, x.row, x.col) for x in board.bombs}
-            board.step((int(rng.integers(0, 6)), int(rng.integers(0, 6))))
+            actions = (int(rng.integers(0, 6)), int(rng.integers(0, 6)))
+            origins = [a.pos for a in board.agents]
+            aims = [(r + dr, c + dc) for (r, c), (dr, dc)
+                    in zip(origins, (MOVE_DELTAS.get(x, (0, 0)) for x in actions))]
+            seen["conflict"] += aims[0] == aims[1] or aims == origins[::-1]
+            board.step(actions)
             after = {id(x): (x.row, x.col) for x in board.bombs}
             seen["chain"] += any(t > 1 and k not in after for k, (t, _, _) in before.items())
             seen["kick"] += any(after.get(k, (r, c)) != (r, c) for k, (_, r, c) in before.items())
@@ -62,10 +68,20 @@ def _play_pinned_games(games=300):
 
 def test_dynamics_are_pinned():
     digest, seen = _play_pinned_games()
-    assert seen["chain"] >= 50 and seen["kick"] >= 30
+    assert seen["chain"] >= 50 and seen["kick"] >= 30 and seen["conflict"] >= 8
     assert all(seen[cause] > 0 for cause in ("timeout", "our-suicide", "opponent-suicide",
                                              "enemy-killed-by-our-bomb", "killed-by-enemy"))
     assert digest == DYNAMICS_SHA256
+
+
+def test_board_with_a_dead_agent_is_done():
+    b = empty_board()
+    b.agents[1].alive = False
+    assert b.done
+    with pytest.raises(RuntimeError):
+        b.step((STAY, STAY))
+    with pytest.raises(AttributeError):
+        b.done = False
 
 
 class TestGeneration:
@@ -123,7 +139,7 @@ class TestInvariants:
             timers_before = {id(x): x.timer for x in b.bombs}
             b.step((int(rng.integers(0, 6)), int(rng.integers(0, 6))))
             for x in b.bombs:
-                if id(x) in timers_before and not x.just_placed:
+                if id(x) in timers_before:
                     assert x.timer == timers_before[id(x)] - 1
                 assert 1 <= x.timer <= 10
             for f in b.flames:
@@ -369,6 +385,8 @@ BOARD_TEXT_REJECTIONS = {
     "bomb-owner-not-an-agent": ("owner=0", "owner=2"),
     "flame-owner-not-an-agent": ("owners=0,1", "owners=0,3"),
     "powerup-kind-unknown": ("kind=3", "kind=4"),
+    "alive-not-a-flag": ("alive=1 ammo=0", "alive=2 ammo=0"),
+    "kick-not-a-flag": ("kick=1", "kick=7"),
 }
 
 

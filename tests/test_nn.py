@@ -494,6 +494,21 @@ class TestStrictParser:
         with pytest.raises(ValueError, match="whitespace"):
             ParamSet.from_bytes(blob)
 
+    def test_rejects_non_ascii_name(self):
+        # The ASCII header could not carry it: to_bytes would raise UnicodeEncodeError.
+        with pytest.raises(ValueError, match="non-ASCII"):
+            ParamSet({"\u00e9": np.zeros(1)})
+        blob = self._blob().replace(b"tensor a.b 3", "tensor \u00e9 3".encode(), 1)
+        with pytest.raises(ValueError):
+            ParamSet.from_bytes(blob)
+
+    def test_equal_bits_compares_bits(self):
+        zero, nan = ParamSet({"a": np.array([0.0])}), ParamSet({"a": np.array([np.nan])})
+        assert not zero.equal_bits(ParamSet({"a": np.array([-0.0])}))
+        assert nan.equal_bits(nan.copy())
+        assert not zero.equal_bits(ParamSet({"b": np.array([0.0])}))
+        assert not zero.equal_bits(ParamSet({"a": np.array([[0.0]])}))
+
     @settings(max_examples=60, deadline=None)
     @given(st.lists(legal_names, min_size=1, max_size=4, unique=True))
     def test_roundtrip_over_legal_names(self, keys):
