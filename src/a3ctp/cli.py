@@ -12,17 +12,18 @@ import sys
 from .harness import (
     RunConfig, evaluate, run_experiment, summarize, summary_table, sweep_lambda_tp,
 )
+from .trainer import field_parsers
 
 
 def _add_config_args(p: argparse.ArgumentParser) -> None:
     defaults = RunConfig()
-    for name, parse in RunConfig.parsers().items():
+    for name, parse in field_parsers(RunConfig).items():
         p.add_argument(f"--{name.replace('_', '-')}", type=parse,
                        default=getattr(defaults, name), dest=name)
 
 
 def _config_from_args(args) -> RunConfig:
-    return RunConfig(**{name: getattr(args, name) for name in RunConfig.parsers()})
+    return RunConfig(**{name: getattr(args, name) for name in field_parsers(RunConfig)})
 
 
 def main(argv=None) -> int:

@@ -475,6 +475,9 @@ ENTITY_FIELDS = {"agent": ("alive", "ammo", "radius", "kick"),
                  "powerup": ("kind",),
                  "hidden": ("kind",)}
 
+# A bomb's dir field: - when it rests, else the unit step it slides by.
+BOMB_DIRS = {"-": None, **{f"{dr},{dc}": (dr, dc) for dr, dc in MOVE_DELTAS.values()}}
+
 
 def _key_values(line: str, tokens: list[str], keys: tuple[str, ...]) -> dict[str, str]:
     """The line's key=value tokens, which must name exactly `keys`, in order."""
@@ -536,11 +539,10 @@ def board_from_text(text: str) -> BomberBoard:
                                             can_kick=kv["kick"] == "1"))
         elif tag == "bomb":
             owner, = _agents(line, kv["owner"])
-            direction = None
-            if kv["dir"] != "-":
-                dr, dc = kv["dir"].split(",")
-                direction = (int(dr), int(dc))
-            board.bombs.append(Bomb(r, c, owner, int(kv["timer"]), int(kv["radius"]), direction))
+            if kv["dir"] not in BOMB_DIRS:
+                raise ValueError(f"board text line {line!r}: dir must be - or a unit step")
+            board.bombs.append(Bomb(r, c, owner, int(kv["timer"]), int(kv["radius"]),
+                                    BOMB_DIRS[kv["dir"]]))
         elif tag == "flame":
             board.flames.append(Flame(r, c, int(kv["life"]), set(_agents(line, kv["owners"]))))
         elif int(kv["kind"]) not in POWERUP_NAMES:

@@ -31,7 +31,7 @@ from .envs.minibomber.replay import save_replay
 from .model import ModelConfig, forward_batch, sample_action
 from .nn import ParamSet
 # ALGORITHMS and RunConfig live in trainer and keep their harness names.
-from .trainer import ALGORITHMS, METRICS_COLUMNS, MetricsRow, RunConfig, train
+from .trainer import ALGORITHMS, METRICS_COLUMNS, MetricsRow, RunConfig, field_parsers, train
 
 
 def _format(x) -> str:
@@ -102,16 +102,13 @@ def _reject_repeats(dirs, problem: str) -> None:
 
 
 def read_metrics(run_dir: str) -> dict[str, np.ndarray]:
+    """metrics.csv, one array per column: int64 or float64 by the type of
+    the column's MetricsRow field."""
     with open(os.path.join(run_dir, "metrics.csv"), newline="") as f:
         rows = list(csv.DictReader(f))
-    out = {}
-    for col in METRICS_COLUMNS:
-        vals = [r[col] for r in rows]
-        if col in ("worker_id", "episode", "length"):
-            out[col] = np.array([int(v) for v in vals], dtype=np.int64)
-        else:
-            out[col] = np.array([float(v) for v in vals])
-    return out
+    parsers = field_parsers(MetricsRow)
+    return {col: np.array([parsers[col](r[col]) for r in rows], dtype=parsers[col])
+            for col in METRICS_COLUMNS}
 
 
 @dataclass
@@ -212,9 +209,7 @@ def evaluate(checkpoint_path: str, env_name: str, episodes: int, seed: int,
     params = ParamSet.load(checkpoint_path)
     hidden = _infer_hidden(params)
     cfg = ModelConfig(spec.obs_dim, spec.n_actions, hidden)
-    expected = [(f"{name}.{k}", shape) for name, fan_in, fan_out in cfg.layers
-                for k, shape in (("W", (fan_in, fan_out)), ("b", (fan_out,)))]
-    if [(name, shape) for name, shape, _, _ in params.layout] != expected:
+    if tuple((name, shape) for name, shape, _, _ in params.layout) != cfg.manifest:
         raise ValueError(f"checkpoint {checkpoint_path} does not match the {env_name} network "
                          f"(obs {spec.obs_dim}, {spec.n_actions} actions, hidden {hidden})")
     rng = np.random.default_rng(seed)

@@ -2,14 +2,16 @@
 policy head, a linear value head, and a sigmoid terminal-prediction head.
 
 The network is defined here and nowhere else. `ModelConfig.layers` lists
-every dense layer in checkpoint manifest order, and `init_model`, the trunk
-loop and `harness.evaluate`'s checkpoint check all read it. Forward and
-backward passes are hand-written on top of the nn core. The objective itself
-(policy gradient with a constant advantage, squared value error, entropy
-bonus, terminal-prediction MSE), its gradient at the three heads and the
-switch for its terminal-prediction term live in `losses.loss_parts`; the
-backward pass takes the head gradients from there and applies only the
-chain rule through the heads and the trunk, in one sweep.
+every dense layer in checkpoint manifest order, and the trunk loop reads
+it; `ModelConfig.manifest` names each layer's tensors with their shapes,
+and `init_model` and `harness.evaluate`'s checkpoint check both read that.
+Forward and backward passes are hand-written on top of the nn core. The
+objective itself (policy gradient with a constant advantage, squared value
+error, entropy bonus, terminal-prediction MSE), its gradient at the three
+heads and the switch for its terminal-prediction term live in
+`losses.loss_parts`; the backward pass takes the head gradients from there
+and applies only the chain rule through the heads and the trunk, in one
+sweep.
 
 There are two forward entry points. `act` takes one observation and
 returns only what acting needs, the policy row and the value: the
@@ -51,19 +53,28 @@ class ModelConfig:
         return trunk + (("policy", d, self.n_actions), ("value", d, 1), ("tp", d, 1))
 
     @cached_property
+    def manifest(self) -> tuple[tuple[str, tuple[int, ...]], ...]:
+        """(name, shape) of every parameter tensor in manifest order: per
+        layer, `<layer>.W` (fan_in, fan_out), then `<layer>.b` (fan_out,)."""
+        return tuple((f"{name}.{k}", shape) for name, fan_in, fan_out in self.layers
+                     for k, shape in (("W", (fan_in, fan_out)), ("b", (fan_out,))))
+
+    @cached_property
     def trunk_keys(self) -> tuple[tuple[str, str], ...]:
         """(weight, bias) parameter names of the trunk layers, input first."""
         return tuple((f"{name}.W", f"{name}.b") for name, _, _ in self.layers[:len(self.hidden)])
 
 
 def init_model(cfg: ModelConfig, rng: np.random.Generator) -> ParamSet:
-    """Seeded init, layer by layer in `cfg.layers` order: weights uniform in
-    +-1/sqrt(fan_in), biases zero."""
+    """Seeded init, tensor by tensor in `cfg.manifest` order: weights
+    uniform in +-1/sqrt(fan_in), biases zero."""
     tensors = {}
-    for name, fan_in, fan_out in cfg.layers:
-        bound = 1.0 / np.sqrt(fan_in)
-        tensors[f"{name}.W"] = rng.uniform(-bound, bound, size=(fan_in, fan_out))
-        tensors[f"{name}.b"] = np.zeros(fan_out)
+    for name, shape in cfg.manifest:
+        if name.endswith(".b"):
+            tensors[name] = np.zeros(shape)
+        else:
+            bound = 1.0 / np.sqrt(shape[0])  # a weight's shape is (fan_in, fan_out)
+            tensors[name] = rng.uniform(-bound, bound, size=shape)
     return ParamSet(tensors)
 
 

@@ -25,10 +25,20 @@ thread, over two anonymous shared-memory buffers made before the fork: its
 parameters and its gradients. Per update it copies its clipped gradients
 into its buffer and sends one message, which carries the finished
 episode's length, reward and mean losses when the update ended one. The
-parent books the update, which writes the new parameters into the
-worker's buffer, and replies with the horizon, the version and whether to
-stop. Any failure, in a worker or in the parent, terminates and joins
-every worker before `train` raises.
+parent serves the live workers in a fixed turn: it receives from worker 0,
+books its update, which writes the new parameters into that worker's
+buffer, and replies with the horizon, the version and whether to stop;
+then worker 1, and so on. Any failure, in a worker or in the parent,
+terminates and joins every worker before `train` raises.
+
+What repeats: every run, at any worker count, is a function of the seed,
+the worker count and the numpy/BLAS build, so its metrics rows and
+checkpoints repeat bit for bit. Each worker's env, rng and parameters are
+its own, its BLAS runs on one thread, and the order of the updates is
+fixed by the turn; only the wall times (`timing.csv`) differ between
+reruns. The turn is one of the interleavings A3C allows: after the first
+turn, while all workers run, each update was computed on parameters
+exactly `workers - 1` updates older than those it is applied to.
 
 An update holds the lock for only three things: the Adam step over the flat
 parameter buffer, the version bump, and an `np.copyto` of the new global
@@ -114,6 +124,14 @@ class MetricsRow:
     wall_time: float          # seconds since run start (not deterministic)
 
 
+def field_parsers(cls) -> dict:
+    """Field name -> the function that parses its value from text (int,
+    float or str, by the field's annotation), for a dataclass of this
+    module: how `RunConfig.load`, the CLI and `harness.read_metrics` read
+    config.txt lines, flags and metrics.csv columns."""
+    return {f.name: {"int": int, "float": float}.get(f.type, str) for f in fields(cls)}
+
+
 # The metrics.csv columns: every MetricsRow field but the wall time, which
 # is not reproducible and goes to its own sidecar.
 METRICS_COLUMNS = tuple(f.name for f in fields(MetricsRow) if f.name != "wall_time")
@@ -193,12 +211,6 @@ class RunConfig:
     def env_kwargs(self) -> dict:
         return {"size": self.env_size, "max_steps": self.env_max_steps}
 
-    @classmethod
-    def parsers(cls) -> dict:
-        """Field name -> the function that parses its value from text (int,
-        float or str, by the field's annotation): for `load` and the CLI."""
-        return {f.name: {"int": int, "float": float}.get(f.type, str) for f in fields(cls)}
-
     def save(self, path) -> None:
         with open(path, "w") as f:
             for fld in fields(self):
@@ -213,7 +225,7 @@ class RunConfig:
         RunConfig rejects on its own; a rejection that no single line causes
         names the file."""
         kwargs, wheres = {}, {}
-        parsers = cls.parsers()
+        parsers = field_parsers(cls)
         with open(path) as f:
             for lineno, line in enumerate(f, 1):
                 line = line.strip()
@@ -250,7 +262,12 @@ class GlobalStore:
 
     Snapshot reads copy under the lock; updates are serialized through
     apply_and_sync, which `book` calls for every update.
-    version increases by exactly one per applied update.
+    version increases by exactly one per applied update. `train` books
+    one worker at a time, in a fixed turn, so the order of the updates, and
+    with it every row and checkpoint, repeats for a given seed, worker
+    count and numpy/BLAS build (only wall times differ); after the first
+    turn, while all workers run, each update is applied `workers - 1`
+    versions after the parameters it was computed on.
     """
 
     def __init__(self, params: ParamSet, optimizer: AdamState, cfg: RunConfig,
@@ -475,14 +492,14 @@ def _serve_workers(store: GlobalStore, model: ModelConfig, weights: LossWeights,
                    seeds) -> None:
     """Fork store.cfg.workers processes, one per worker, and book their
     updates through store.book(wid, grads, local, episode) until every
-    worker has been told to stop. Each worker owns two anonymous shared
+    worker has been told to stop, serving the live workers in worker order,
+    one update each per turn. Each worker owns two anonymous shared
     buffers, its parameters and its gradients; per update it sends one
     message (the episode it ended, or None) and gets back (horizon,
     version, stop). On any failure every worker is terminated and joined
     before the error propagates."""
     import mmap
     import multiprocessing
-    from multiprocessing.connection import wait
 
     ctx = multiprocessing.get_context("fork")
     cfg, params = store.cfg, store.params
@@ -504,12 +521,11 @@ def _serve_workers(store: GlobalStore, model: ModelConfig, weights: LossWeights,
             proc.start()
             child_conn.close()  # the worker's exit then reads as EOF here
             workers.append((proc, conn, local, grads))
-        live = {conn: wid for wid, (_, conn, _, _) in enumerate(workers)}
+        live = list(range(cfg.workers))  # served in this order, one update each per turn
         stop = False
         while live:
-            for conn in wait(list(live)):
-                wid = live[conn]
-                proc, _, local, grads = workers[wid]
+            for wid in list(live):
+                proc, conn, local, grads = workers[wid]
                 try:
                     msg = conn.recv()
                 except EOFError:
@@ -524,7 +540,7 @@ def _serve_workers(store: GlobalStore, model: ModelConfig, weights: LossWeights,
                 stop = stop or stop_now
                 conn.send((horizon, local.version, stop))
                 if stop:
-                    del live[conn]
+                    live.remove(wid)
         for proc, *_ in workers:  # let told workers exit before `finally` kills stragglers
             proc.join()
     finally:

@@ -211,11 +211,12 @@ class TestRunExperiment:
         m = read_metrics(run_dir)
         assert m["episode"].size == 0
 
-    def test_metrics_csv_byte_identical_across_reruns(self, tmp_path):
-        # file order is arrival order, so byte-identity holds for one worker
-        d1 = run_experiment(small_config(tmp_path, workers=1,
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_metrics_csv_byte_identical_across_reruns(self, tmp_path, workers):
+        # file order is booking order, which is fixed for any worker count
+        d1 = run_experiment(small_config(tmp_path, workers=workers,
                                          out_dir=str(tmp_path / "a")))
-        d2 = run_experiment(small_config(tmp_path, workers=1,
+        d2 = run_experiment(small_config(tmp_path, workers=workers,
                                          out_dir=str(tmp_path / "b")))
         with open(os.path.join(d1, "metrics.csv"), "rb") as f:
             b1 = f.read()

@@ -382,6 +382,8 @@ BOARD_TEXT_REJECTIONS = {
     "missing-cell": ("powerup 3 0", "powerup 3"),
     "value-not-an-int": ("timer=7", "timer=x"),
     "bad-direction": ("dir=0,1", "dir=1"),
+    "direction-longer-than-a-step": ("dir=0,1", "dir=2,0"),
+    "direction-of-no-step": ("dir=0,1", "dir=0,0"),
     "bomb-owner-not-an-agent": ("owner=0", "owner=2"),
     "flame-owner-not-an-agent": ("owners=0,1", "owners=0,3"),
     "powerup-kind-unknown": ("kind=3", "kind=4"),

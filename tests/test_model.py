@@ -398,4 +398,6 @@ class TestInit:
         assert cfg.trunk_keys == (("trunk0.W", "trunk0.b"), ("trunk1.W", "trunk1.b"))
         params = init_model(cfg, np.random.default_rng(0))
         assert params.names() == [f"{n}.{k}" for n, _, _ in cfg.layers for k in "Wb"]
+        assert tuple((n, shape) for n, shape, _, _ in params.layout) == cfg.manifest
+        assert cfg.manifest[:2] == (("trunk0.W", (6, 8)), ("trunk0.b", (8,)))
         assert ModelConfig(6, 4, ()).layers[0] == ("policy", 6, 4)

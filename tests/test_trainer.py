@@ -1,7 +1,9 @@
 """Trainer tests: rollout collection, gradient updates, the shared
-parameter store, and end-to-end determinism of single-worker training."""
+parameter store, and end-to-end determinism of training at any worker
+count."""
 
 import contextlib
+import dataclasses
 import multiprocessing
 import os
 import signal
@@ -67,6 +69,18 @@ def make_rollout(T=5, terminal=False, bootstrap=0.0):
         obs=np.random.default_rng(7).normal(size=(T, 16)), actions=np.zeros(T, dtype=np.int64),
         rewards=np.ones(T), values=np.zeros(T), step_indices=np.arange(T), terminal=terminal, bootstrap_value=bootstrap,
     )
+
+
+def train_twice(cfg, env_factory, tmp_path):
+    """Two runs of one config: per run, the repr of each metrics row with
+    its wall time zeroed, and the bytes of each checkpoint file by name."""
+    runs = []
+    for i in range(2):
+        rows, ckpt_dir = [], tmp_path / f"run{i}"
+        train(cfg, env_factory, checkpoint_dir=str(ckpt_dir),
+              on_episode=lambda row: rows.append(repr(dataclasses.replace(row, wall_time=0.0))))
+        runs.append((rows, {p.name: p.read_bytes() for p in ckpt_dir.iterdir()}))
+    return runs
 
 
 def reference_rollout(params, cfg, env, obs, episode_step, rng, t_max):
@@ -323,6 +337,16 @@ class TestTrain:
         s3, _ = run(6)
         assert not s1.params.equal_bits(s3.params)
 
+    @pytest.mark.parametrize("workers", [2, 8])
+    def test_multi_worker_bit_determinism(self, tmp_path, workers):
+        # Workers are booked in a fixed turn, so a run depends only on its
+        # seed and worker count.
+        first, second = train_twice(self._config(workers=workers, episode_budget=40,
+                                                 checkpoint_cadence=10),
+                                    lambda wid: GridGoal(4, max_steps=20), tmp_path)
+        assert len(first[0]) == 40 and len(first[1]) == 5
+        assert first == second
+
     def test_metrics_rows_cover_budget_once(self):
         episodes = []
         train(self._config(workers=4, episode_budget=30),
@@ -468,6 +492,17 @@ class TestProcesses:
             train(self._config(workers=4),
                   lambda wid: RaisingGrid(4, max_steps=20) if wid == 2 else GridGoal(4))
         assert len(starts) == 8 and multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("workers", [2, 8])
+    def test_minibomber_reruns_repeat_rows_and_checkpoints(self, tmp_path, workers):
+        cfg = self._config(env="minibomber-static", env_size=5, env_max_steps=30,
+                           workers=workers, episode_budget=16, checkpoint_cadence=4)
+        with deadline(60):
+            first, second = train_twice(cfg, lambda wid: make_env(cfg.env, **cfg.env_kwargs()),
+                                        tmp_path)
+        assert sorted(first[1]) == [f"ep{i:08d}.ckpt" for i in (4, 8, 12, 16)] + ["final.ckpt"]
+        assert len(first[0]) == 16
+        assert first == second
 
     def test_fewer_than_one_worker_rejected_before_any_start(self, monkeypatch):
         fork = multiprocessing.get_context("fork").Process
