@@ -33,7 +33,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .losses import LossWeights, loss_parts
+from .losses import LossParts, LossWeights, loss_parts
 from .nn import NonFiniteError, ParamSet, ShapeError, dense_backward
 
 
@@ -149,8 +149,12 @@ def act(params: ParamSet, cfg: ModelConfig, obs: np.ndarray) -> tuple[np.ndarray
 
 
 def backward_batch(params: ParamSet, cfg: ModelConfig, cache, actions,
-                   advantages, returns, tp_targets, weights: LossWeights):
-    """Gradients of the combined rollout loss w.r.t. every parameter.
+                   advantages, returns, tp_targets, weights: LossWeights,
+                   grads: ParamSet) -> LossParts:
+    """Gradients of the combined rollout loss w.r.t. every parameter,
+    written into `grads`, a set in params' layout owned by the caller: it
+    is zero-filled, then each gradient is accumulated with `+=`, so its
+    bits do not depend on what the set held before.
 
     The loss parts and their gradients at the three heads come from
     `losses.loss_parts`, which alone switches the terminal-prediction term;
@@ -158,12 +162,12 @@ def backward_batch(params: ParamSet, cfg: ModelConfig, cache, actions,
     (tp_targets None or lambda_tp == 0) the terminal-prediction head
     contributes nothing (not even zero-valued arrays are added), so the
     result is bitwise identical to a plain actor-critic backward.
-    Returns (grads: ParamSet, parts: LossParts).
+    Returns the LossParts.
     """
     parts, d_logits, d_v, d_u = loss_parts(
         cache["logits"], cache["probs"], cache["values"], cache["tp_pred"], actions,
         advantages, returns, tp_targets, weights)
-    grads = params.zeros_like()
+    grads.flat.fill(0.0)
     g, t = grads.tensors, params.tensors
     post = cache["post"]
     h = post[-1]
@@ -180,15 +184,18 @@ def backward_batch(params: ParamSet, cfg: ModelConfig, cache, actions,
         # The gradient w.r.t. the observations is never used, so the input
         # layer skips it.
         d_h = dense_backward(post[i], dz, t[wkey], g[wkey], g[bkey], need_input=i > 0)
-    return grads, parts
+    return parts
 
 
 def model_backward(params: ParamSet, cfg: ModelConfig, obs, actions,
                    advantages, returns, tp_targets, weights: LossWeights):
-    """Forward + backward over a batch of observations in one call."""
+    """Forward + backward over a batch of observations in one call, into a
+    new gradient set. Returns (grads: ParamSet, parts: LossParts)."""
     _, _, _, cache = forward_batch(params, cfg, obs)
-    return backward_batch(params, cfg, cache, actions, advantages, returns,
-                          tp_targets, weights)
+    grads = params.zeros_like()
+    parts = backward_batch(params, cfg, cache, actions, advantages, returns,
+                           tp_targets, weights, grads)
+    return grads, parts
 
 
 def rollout_loss(params: ParamSet, cfg: ModelConfig, obs, actions, advantages,

@@ -12,10 +12,11 @@ Flat layout: a `ParamSet` stores all its tensors back to back in one
 contiguous float64 vector (`flat`), in insertion order, and each named
 tensor is a reshaped view of its slice. That order is the manifest order of
 `*.ckpt` files, so serialization is a header plus the buffer's bytes, and
-Adam, the scaling in gradient clipping, copies and zero-filled copies are
+Adam, the global norm, gradient clipping, copies and zero-filled copies are
 whole-buffer numpy operations. Adam keeps the per-element operations and
-their order, so its results are bit-identical to a per-tensor loop;
-`global_norm` still sums tensor by tensor.
+their order, so its results are bit-identical to a per-tensor loop; the
+global norm is one sum over `flat`, so it depends only on the buffer's
+values, not on how the layout splits them into tensors.
 """
 
 from __future__ import annotations
@@ -45,7 +46,8 @@ class ParamSet:
     `flat` is one contiguous float64 vector. Each entry of `tensors` is a
     reshaped view of its slice, in insertion order, which is also the
     manifest order of the checkpoint format. Whole-set operations (Adam,
-    clipping, copies, serialization) therefore run over `flat` directly.
+    the global norm, clipping, copies, serialization) therefore run over
+    `flat` directly.
     `tensors` is a read-only mapping, so a name cannot be rebound to an array
     outside `flat`. Write through `params[name] = value`: it copies into the
     existing view. The layout is fixed when the set is built (by the
@@ -104,11 +106,8 @@ class ParamSet:
         return self.layout == other.layout and self.flat.tobytes() == other.flat.tobytes()
 
     def global_norm(self) -> float:
-        # Summed tensor by tensor, so the result does not depend on the layout.
-        total = 0.0
-        for t in self.tensors.values():
-            total += float(np.sum(t * t))
-        return float(np.sqrt(total))
+        # einsum, not a BLAS dot, whose bits change with the BLAS thread count.
+        return math.sqrt(np.einsum("i,i->", self.flat, self.flat))
 
     # -- serialization ----------------------------------------------------
 
@@ -242,10 +241,10 @@ class AdamState:
     _scratch: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
-    def for_params(cls, params: ParamSet, lr: float = 1e-4, beta1: float = 0.9,
-                   beta2: float = 0.999, eps: float = 1e-8) -> "AdamState":
-        return cls(m=params.zeros_like(), v=params.zeros_like(), step=0,
-                   lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+    def for_params(cls, params: ParamSet, lr: float = 1e-4) -> "AdamState":
+        """Zero moments in params' layout; beta1, beta2 and eps keep their
+        field defaults."""
+        return cls(m=params.zeros_like(), v=params.zeros_like(), lr=lr)
 
     def to_bytes(self) -> bytes:
         layout = _layout([(f"m:{k}", shape) for k, shape, _, _ in self.m.layout]
@@ -320,8 +319,8 @@ def adam_step(params: ParamSet, grads: ParamSet, state: AdamState) -> None:
 
 
 def clip_global_norm(grads: ParamSet, max_norm: float) -> float:
-    """Scale all gradients so the global L2 norm is at most max_norm.
-    Returns the pre-clip norm."""
+    """Scale all gradients so the global L2 norm is at most max_norm; a
+    max_norm of 0 turns clipping off. Returns the pre-clip norm."""
     norm = grads.global_norm()
     if max_norm > 0.0 and norm > max_norm:
         grads.flat *= max_norm / norm

@@ -22,13 +22,13 @@ the POSIX `fork` start method), and the calling process keeps the
 metrics rows and every checkpoint stay in that one process. Each worker
 runs `collect_rollout` and `compute_update`, with OpenBLAS pinned to one
 thread, over two anonymous shared-memory buffers made before the fork: its
-parameters and its gradients. Per update it copies its clipped gradients
-into its buffer and sends one message, which carries the finished
-episode's length, reward and mean losses when the update ended one. The
-parent serves the live workers in a fixed turn: it receives from worker 0,
-books its update, which writes the new parameters into that worker's
-buffer, and replies with the horizon, the version and whether to stop;
-then worker 1, and so on. Any failure, in a worker or in the parent,
+parameters and its gradients. Per update it computes its clipped gradients
+in the shared gradient buffer itself and sends one message, which carries
+the finished episode's length, reward and mean losses when the update
+ended one. The parent serves the live workers in a fixed turn: it receives
+from worker 0, books its update, which writes the new parameters into that
+worker's buffer, and replies with the horizon, the version and whether to
+stop; then worker 1, and so on. Any failure, in a worker or in the parent,
 terminates and joins every worker before `train` raises.
 
 What repeats: every run, at any worker count, is a function of the seed,
@@ -44,7 +44,9 @@ An update holds the lock for only three things: the Adam step over the flat
 parameter buffer, the version bump, and an `np.copyto` of the new global
 buffer into the worker's own local buffer. Clipping runs once per update,
 in compute_update, before the lock is taken, and nothing is allocated
-inside it.
+inside it. Each worker owns one gradient set for the whole run, which
+compute_update refills per update: with one worker `train` makes it, and in
+a worker process it is the shared gradient buffer.
 
 The store is built once per run, from the run's `RunConfig`, and
 `GlobalStore.book` is the one call both worker paths make per update. It
@@ -376,24 +378,26 @@ def collect_rollout(params: ParamSet, cfg: ModelConfig, env: Environment,
 
 
 def compute_update(rollout: Rollout, params: ParamSet, cfg: ModelConfig,
-                   weights: LossWeights, horizon: float | None,
-                   clip_norm: float = DEFAULT_CLIP_NORM):
-    """Gradients of the combined loss over one rollout, norm-clipped.
+                   weights: LossWeights, horizon: float | None, grads: ParamSet,
+                   clip_norm: float = DEFAULT_CLIP_NORM) -> LossParts:
+    """Gradients of the combined loss over one rollout, norm-clipped, written
+    into `grads`, the caller's set in params' layout (whatever it held
+    before is overwritten).
 
     When no episode has completed yet (horizon is None) there are no
     terminal-prediction targets, so the term is off for this update, as it
     is whenever lambda_tp == 0. A non-finite loss part raises
-    FloatingPointError. Returns (grads, LossParts).
+    FloatingPointError. Returns the LossParts.
     """
     ret = n_step_returns(rollout.rewards, rollout.bootstrap_value,
                          weights.gamma, rollout.terminal)
     adv = advantages(ret, rollout.values)
     targets = None if horizon is None else tp_targets(rollout.step_indices, horizon)
     _, _, _, cache = forward_batch(params, cfg, rollout.obs)
-    grads, parts = backward_batch(params, cfg, cache, rollout.actions, adv,
-                                  ret, targets, weights)
+    parts = backward_batch(params, cfg, cache, rollout.actions, adv, ret, targets,
+                           weights, grads)
     clip_global_norm(grads, clip_norm)
-    return grads, parts
+    return parts
 
 
 def train(cfg: RunConfig, env_factory, on_episode=None,
@@ -432,8 +436,9 @@ def train(cfg: RunConfig, env_factory, on_episode=None,
             pass  # nothing to train, so no worker starts
         elif cfg.workers == 1:
             local = store.snapshot()
+            grads = local.zeros_like()
             _worker_loop(model, weights, cfg.clip_norm, env0, np.random.default_rng(seeds[1]),
-                         local, lambda grads, episode: store.book(0, grads, local, episode))
+                         local, grads, lambda episode: store.book(0, grads, local, episode))
         else:
             _serve_workers(store, model, weights, env_factory, seeds[1:])
     except BaseException as exc:  # propagate after flushing
@@ -446,10 +451,10 @@ def train(cfg: RunConfig, env_factory, on_episode=None,
 
 
 def _worker_loop(model: ModelConfig, weights: LossWeights, clip_norm: float, env: Environment,
-                 rng: np.random.Generator, local: ParamSet, book):
+                 rng: np.random.Generator, local: ParamSet, grads: ParamSet, book):
     """One worker, one outer iteration per episode: collect a rollout with
-    `local`, compute its clipped gradients, and hand them to
-    book(grads, episode), which applies them, leaves the new parameters in
+    `local`, compute its clipped gradients into `grads`, and call
+    book(episode), which applies them, leaves the new parameters in
     `local`, and returns the horizon for the next update and whether to
     stop. episode is None, or, when the rollout ended an episode, (length,
     reward, mean LossParts). Each loss part is summed with `+=` in update
@@ -463,14 +468,14 @@ def _worker_loop(model: ModelConfig, weights: LossWeights, clip_norm: float, env
                                                  weights.t_max)
             length += len(rollout.actions)
             reward += float(rollout.rewards.sum())
-            grads, parts = compute_update(rollout, local, model, weights, horizon,
-                                          clip_norm=clip_norm)
+            parts = compute_update(rollout, local, model, weights, horizon, grads,
+                                   clip_norm=clip_norm)
             for i, x in enumerate((parts.policy_loss, parts.value_loss, parts.entropy,
                                    parts.tp_loss)):
                 sums[i] += x
             n_updates += 1
             episode = (length, reward, LossParts(*(x / n_updates for x in sums))) if done else None
-            horizon, stop = book(grads, episode)
+            horizon, stop = book(episode)
             if stop:
                 return
 
@@ -553,20 +558,21 @@ def _serve_workers(store: GlobalStore, model: ModelConfig, weights: LossWeights,
 
 
 def _worker_process(wid: int, model: ModelConfig, weights: LossWeights, clip_norm: float,
-                    env_factory, seed, local: ParamSet, grads_out: ParamSet, conn) -> None:
-    """Body of a forked worker: `local` and `grads_out` are its shared
-    buffers, and conn its end of the pipe to the parent."""
+                    env_factory, seed, local: ParamSet, grads: ParamSet, conn) -> None:
+    """Body of a forked worker: `local` and `grads` are its shared buffers,
+    and conn its end of the pipe to the parent. The parent reads `grads`
+    only while the worker waits for its reply, so the worker computes each
+    update in place there."""
     try:
         _pin_blas_to_one_thread()
 
-        def book(grads, episode):
-            np.copyto(grads_out.flat, grads.flat)
+        def book(episode):
             conn.send(episode)
             horizon, local.version, stop = conn.recv()
             return horizon, stop
 
         _worker_loop(model, weights, clip_norm, env_factory(wid), np.random.default_rng(seed),
-                     local, book)
+                     local, grads, book)
     except BaseException as exc:
         import traceback
         try:

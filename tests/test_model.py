@@ -323,8 +323,9 @@ class TestLeanPasses:
         adv, ret, y = rng.normal(size=T), rng.normal(size=T), rng.random(T)
         w = LossWeights()
         _, _, _, cache = forward_batch(params, cfg, obs)
-        got, _ = backward_batch(params, cfg, cache, actions, adv, ret,
-                                y if with_tp else None, w)
+        got = params.zeros_like()
+        backward_batch(params, cfg, cache, actions, adv, ret,
+                       y if with_tp else None, w, got)
         want = layered_backward(params, cfg, obs, actions, adv, ret, y, w, with_tp)
         assert got.names() == want.names()
         for k in got:
@@ -341,7 +342,8 @@ class TestLeanPasses:
         w = LossWeights(lambda_tp=0.0) if case == "lambda-tp-zero" else LossWeights()
         y = None if case == "no-targets" else y
         _, _, _, cache = forward_batch(params, cfg, obs)
-        _, parts = backward_batch(params, cfg, cache, actions, adv, ret, y, w)
+        parts = backward_batch(params, cfg, cache, actions, adv, ret, y, w,
+                               params.zeros_like())
         assert parts.tp_on == (case == "tp-on")
         assert rollout_loss(params, cfg, obs, actions, adv, ret, y, w) == parts.total
 

@@ -4,6 +4,7 @@ transcription of its update equations, gradient checking, and bit-exact
 serialization."""
 
 import io
+import math
 
 import numpy as np
 import pytest
@@ -283,6 +284,27 @@ class TestClip:
         g = ParamSet({"a.W": np.array([[30.0]]), "a.b": np.array([40.0])})
         clip_global_norm(g, 5.0)
         assert np.isclose(g.global_norm(), 5.0)
+
+    def test_zero_max_norm_turns_clipping_off(self):
+        g = ParamSet({"a.W": np.array([[30.0]]), "a.b": np.array([40.0])})
+        assert clip_global_norm(g, 0.0) == 50.0
+        assert g["a.W"][0, 0] == 30.0 and g["a.b"][0] == 40.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(arrays(np.float64, st.integers(1, 64), elements=st.floats(-1e3, 1e3)),
+           st.lists(st.integers(1, 63), max_size=6), st.lists(st.integers(1, 63), max_size=6))
+    def test_global_norm_depends_only_on_the_flat_values(self, x, cuts_a, cuts_b):
+        # Up to 64 values the sum stays within a few ulps even when every
+        # value is the same, which is the worst case for a running sum.
+        def split(cuts):
+            bounds = [0, *sorted({c for c in cuts if c < x.size}), x.size]
+            return ParamSet({f"t{i}": x[lo:hi]
+                             for i, (lo, hi) in enumerate(zip(bounds, bounds[1:]))})
+
+        norm = split(cuts_a).global_norm()
+        assert norm.hex() == split(cuts_b).global_norm().hex()
+        exact = math.sqrt(math.fsum(x * x))
+        assert abs(norm - exact) <= 8 * math.ulp(exact)
 
 
 def per_tensor_adam_step(params, grads, m, v, t, lr, b1, b2, eps):

@@ -181,9 +181,10 @@ class TestComputeUpdate:
         cfg, params = tiny_model()
         r = make_rollout()
         w = LossWeights()
-        g_none, parts_none = compute_update(r, params, cfg, w, horizon=None)
-        g_off, parts_off = compute_update(r, params, cfg, LossWeights(lambda_tp=0.0),
-                                          horizon=10.0)
+        g_none, g_off = params.zeros_like(), params.zeros_like()
+        parts_none = compute_update(r, params, cfg, w, horizon=None, grads=g_none)
+        parts_off = compute_update(r, params, cfg, LossWeights(lambda_tp=0.0),
+                                   horizon=10.0, grads=g_off)
         assert all(np.array_equal(g_none[k], g_off[k]) for k in g_none.names())
         assert parts_none.tp_loss == 0.0 == parts_off.tp_loss
 
@@ -191,10 +192,11 @@ class TestComputeUpdate:
         cfg, params = tiny_model()
         r = make_rollout()
         w = LossWeights()
-        g_tp, parts = compute_update(r, params, cfg, w, horizon=10.0,
-                                     clip_norm=1e9)
-        g_no, _ = compute_update(r, params, cfg, w, horizon=None,
-                                 clip_norm=1e9)
+        g_tp, g_no = params.zeros_like(), params.zeros_like()
+        parts = compute_update(r, params, cfg, w, horizon=10.0, grads=g_tp,
+                               clip_norm=1e9)
+        compute_update(r, params, cfg, w, horizon=None, grads=g_no,
+                       clip_norm=1e9)
         assert parts.tp_loss > 0.0
         for head in ("policy", "value"):
             assert np.array_equal(g_tp[f"{head}.W"], g_no[f"{head}.W"])
@@ -204,9 +206,25 @@ class TestComputeUpdate:
     def test_clip_applies(self):
         cfg, params = tiny_model()
         r = make_rollout()
-        g, _ = compute_update(r, params, cfg, LossWeights(), horizon=None,
-                              clip_norm=1e-3)
+        g = params.zeros_like()
+        compute_update(r, params, cfg, LossWeights(), horizon=None, grads=g,
+                       clip_norm=1e-3)
         assert g.global_norm() <= 1e-3 + 1e-12
+
+    def test_reused_set_gives_the_bits_of_a_fresh_set(self):
+        cfg, params = tiny_model()
+        r = make_rollout()
+        w = LossWeights()
+        reused = params.zeros_like()
+        reused.flat[:] = np.nan  # what the set held before must not matter
+        # A TP-on update, then a TP-off one: the tp head's gradients go back to zero.
+        for horizon in (10.0, None):
+            fresh = params.zeros_like()
+            want = compute_update(r, params, cfg, w, horizon, fresh)
+            assert compute_update(r, params, cfg, w, horizon, reused) == want
+            assert reused.equal_bits(fresh)
+        assert want.tp_loss == 0.0
+        assert not reused["tp.W"].any() and not reused["tp.b"].any()
 
 
 class TestGlobalStore:
@@ -390,6 +408,24 @@ class TestTrain:
         with pytest.raises(RuntimeError):
             train(self._config(episode_budget=5),
                   lambda wid: Broken(4, max_steps=20))
+
+    def test_one_gradient_set_per_run(self, monkeypatch):
+        # Adam's two moments and the worker's gradient set, however long
+        # the run: no update allocates a set of its own.
+        calls = []
+        real = ParamSet.zeros_like
+
+        def counting(params):
+            calls.append(1)
+            return real(params)
+
+        monkeypatch.setattr(ParamSet, "zeros_like", counting)
+        counts = []
+        for budget in (5, 20):
+            calls.clear()
+            train(self._config(episode_budget=budget), lambda wid: GridGoal(4, max_steps=20))
+            counts.append(len(calls))
+        assert counts == [3, 3]
 
     def test_labeler_tracks_episode_lengths(self):
         lengths = []
