@@ -487,6 +487,15 @@ def _key_values(line: str, tokens: list[str], keys: tuple[str, ...]) -> dict[str
     return dict(pairs)
 
 
+def _bounded(line: str, kv: dict[str, str], key: str, low: int, high: int | None = None) -> int:
+    """kv[key] as an int, which must be at least low and, given high, at most high."""
+    value = int(kv[key])
+    if value < low or (high is not None and value > high):
+        bounds = f"at least {low}" if high is None else f"in {low}..{high}"
+        raise ValueError(f"board text line {line!r}: {key} must be {bounds}, not {value}")
+    return value
+
+
 def _agents(line: str, text: str, allowed=("0", "1")) -> list[int | None]:
     """A comma-separated list of agent indices; "-" reads as None where allowed."""
     ids = text.split(",") if text else []
@@ -510,6 +519,8 @@ def board_from_text(text: str) -> BomberBoard:
         raise ValueError(f"board text needs n >= 2, {n} rows and one last end line")
     board = BomberBoard(n, step_cap=int(kv["cap"]))
     board.step_count = int(kv["step"])
+    if board.step_count > board.step_cap:
+        raise ValueError(f"board text header {lines[0]!r}: step is above the cap")
     if v2:
         board.killers = _agents(lines[0], kv["killers"], ("-", "0", "1"))
         if len(board.killers) != 2:
@@ -534,17 +545,19 @@ def board_from_text(text: str) -> BomberBoard:
         if tag == "agent":
             if not {kv["alive"], kv["kick"]} <= {"0", "1"}:
                 raise ValueError(f"board text line {line!r}: alive and kick must be 0 or 1")
-            board.agents.append(AgentState(r, c, alive=kv["alive"] == "1", ammo=int(kv["ammo"]),
-                                            blast_radius=int(kv["radius"]),
+            board.agents.append(AgentState(r, c, alive=kv["alive"] == "1",
+                                            ammo=_bounded(line, kv, "ammo", 0),
+                                            blast_radius=_bounded(line, kv, "radius", 1),
                                             can_kick=kv["kick"] == "1"))
         elif tag == "bomb":
             owner, = _agents(line, kv["owner"])
             if kv["dir"] not in BOMB_DIRS:
                 raise ValueError(f"board text line {line!r}: dir must be - or a unit step")
-            board.bombs.append(Bomb(r, c, owner, int(kv["timer"]), int(kv["radius"]),
-                                    BOMB_DIRS[kv["dir"]]))
+            board.bombs.append(Bomb(r, c, owner, _bounded(line, kv, "timer", 1, BOMB_TIMER),
+                                    _bounded(line, kv, "radius", 1), BOMB_DIRS[kv["dir"]]))
         elif tag == "flame":
-            board.flames.append(Flame(r, c, int(kv["life"]), set(_agents(line, kv["owners"]))))
+            board.flames.append(Flame(r, c, _bounded(line, kv, "life", 1, FLAME_LIFETIME),
+                                      set(_agents(line, kv["owners"]))))
         elif int(kv["kind"]) not in POWERUP_NAMES:
             raise ValueError(f"board text line {line!r}: power-up kinds are 1, 2 and 3")
         else:

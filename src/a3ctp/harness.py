@@ -201,7 +201,13 @@ def evaluate(checkpoint_path: str, env_name: str, episodes: int, seed: int,
     replay_dir, each replay they carry. Raises ValueError for episodes
     below 1, before anything is loaded, and unless the checkpoint's tensor
     names and shapes are exactly those of the network for this environment
-    (its hidden widths read from the checkpoint)."""
+    (its hidden widths read from the checkpoint).
+
+    Each episode runs the 1-row `forward_batch` once per distinct
+    observation: the probs row is kept for the episode, keyed by the
+    observation's bytes, and the parameters never change, so a repeat gets
+    the bits a fresh call would. The dict is dropped at the episode's end,
+    so it holds at most one episode's observations."""
     if episodes < 1:
         raise ValueError(f"episodes must be at least 1, not {episodes}")
     env = make_env(env_name, **(env_kwargs or {}))
@@ -221,9 +227,13 @@ def evaluate(checkpoint_path: str, env_name: str, episodes: int, seed: int,
         obs = env.reset(rng)
         total, steps, done = 0.0, 0, False
         info = {}
+        acted: dict[bytes, np.ndarray] = {}
         while not done:
-            probs, _, _, _ = forward_batch(params, cfg, obs[None, :])
-            action = sample_action(probs[0], rng) if sample else int(np.argmax(probs[0]))
+            key = obs.tobytes()
+            if key not in acted:
+                acted[key] = forward_batch(params, cfg, obs[None, :])[0][0]
+            probs = acted[key]
+            action = sample_action(probs, rng) if sample else int(np.argmax(probs))
             obs, r, done, info = env.step(action, rng)
             total += r
             steps += 1

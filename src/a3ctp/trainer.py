@@ -9,11 +9,17 @@ updated global parameters back into its local copy.
 
 The model has two forward entry points, and each has one place here.
 `collect_rollout` acts through `model.act`, one observation at a time,
-which computes only the policy row and the value. `compute_update` runs
-`model.forward_batch` over the whole rollout for the backward pass. It does
-not reuse the act steps' activations, because a 1-row product rounds
-differently from the same row inside a batch, and every byte-identity
-reference rests on the batched forward.
+which computes only the policy row and the value. It calls `act` once per
+distinct observation of the rollout (the bootstrap's included): a dict that
+lives for one call maps the observation's bytes to act's result, so it holds
+at most t_max + 1 entries. A hit is exact, because the key is the whole
+observation and the parameters do not change during a rollout: on both
+worker paths a worker's local parameters are written only while it waits
+for its update to be booked. `compute_update` runs `model.forward_batch`
+over the whole rollout for the backward pass. It does not reuse the act
+steps' activations, because a 1-row product rounds differently from the
+same row inside a batch, and every byte-identity reference rests on the
+batched forward.
 
 Where workers run: with one worker, the worker loop runs in the calling
 thread. With more, `train` forks exactly `workers` processes (this needs
@@ -351,11 +357,25 @@ def collect_rollout(params: ParamSet, cfg: ModelConfig, env: Environment,
     Stops early at episode end. Returns (rollout, next_obs, done); next_obs
     is the first observation of the next episode segment (or the terminal
     observation when done).
+
+    `act` runs once per distinct observation of this call, the bootstrap's
+    included: its result is kept for the call, keyed by the observation's
+    bytes, so a repeat reuses the bits a fresh call would compute (params
+    are not written during a rollout) and at most t_max + 1 results are
+    kept.
     """
     obs_list, actions, rewards, values, indices = [], [], [], [], []
     done = False
+    acted: dict[bytes, tuple[np.ndarray, float]] = {}
+
+    def policy(obs):
+        key = obs.tobytes()
+        if key not in acted:
+            acted[key] = act(params, cfg, obs)
+        return acted[key]
+
     for _ in range(t_max):
-        probs, value = act(params, cfg, obs)
+        probs, value = policy(obs)
         action = sample_action(probs, rng)
         next_obs, reward, done, _info = env.step(action, rng)
         obs_list.append(obs)
@@ -367,7 +387,7 @@ def collect_rollout(params: ParamSet, cfg: ModelConfig, env: Environment,
         obs = next_obs
         if done:
             break
-    bootstrap = 0.0 if done else act(params, cfg, obs)[1]
+    bootstrap = 0.0 if done else policy(obs)[1]
     rollout = Rollout(
         obs=np.array(obs_list), actions=np.array(actions),
         rewards=np.array(rewards), values=np.array(values),

@@ -16,13 +16,14 @@ from hypothesis import strategies as st
 
 from a3ctp import harness
 from a3ctp.cli import main as cli_main
-from a3ctp.envs import ENV_NAMES
+from a3ctp.envs import ENV_NAMES, make_env
 from a3ctp.envs.gridgoal import GridGoal
+from a3ctp.envs.minibomber.replay import save_replay
 from a3ctp.harness import (
-    METRICS_COLUMNS, RunConfig, evaluate, read_metrics, run_experiment, summarize,
+    METRICS_COLUMNS, EvalReport, RunConfig, evaluate, read_metrics, run_experiment, summarize,
     summary_table, sweep_lambda_tp,
 )
-from a3ctp.model import ModelConfig, init_model
+from a3ctp.model import ModelConfig, forward_batch, init_model, sample_action
 from a3ctp.nn import ParamSet
 
 
@@ -30,6 +31,34 @@ def trailing_means(series, window):
     """Per row i, the mean of the last min(window, i + 1) values."""
     series = np.asarray(series, dtype=np.float64)
     return [np.mean(series[max(0, i + 1 - window):i + 1]) for i in range(series.size)]
+
+
+def reference_evaluate(params, cfg, env, episodes, seed, sample, replay_dir=None):
+    """evaluate's loop, calling forward_batch on a 1-row batch at every step.
+    Returns the EvalReport and, per episode, the observations acted on."""
+    rng = np.random.default_rng(seed)
+    rewards, lengths, counts, seen = [], [], {}, []
+    for ep in range(episodes):
+        obs = env.reset(rng)
+        total, done, info, observed = 0.0, False, {}, []
+        while not done:
+            observed.append(obs.tobytes())
+            probs = forward_batch(params, cfg, obs[None, :])[0][0]
+            action = sample_action(probs, rng) if sample else int(np.argmax(probs))
+            obs, r, done, info = env.step(action, rng)
+            total += r
+        rewards.append(total)
+        lengths.append(len(observed))
+        seen.append(observed)
+        if "outcome" in info:
+            for key in (info["outcome"].result, info["outcome"].cause):
+                counts[key] = counts.get(key, 0) + 1
+        if replay_dir is not None:
+            os.makedirs(replay_dir, exist_ok=True)
+            save_replay(os.path.join(replay_dir, f"ep{ep:05d}.replay"), *info["replay"])
+    report = EvalReport(episodes=episodes, mean_reward=float(np.mean(rewards)),
+                        mean_length=float(np.mean(lengths)), outcome_counts=counts)
+    return report, seen
 
 
 def small_config(tmp_path, **kw):
@@ -452,6 +481,37 @@ class TestEvaluate:
         # Writing replays reads the env's replay and leaves the episodes as they are.
         assert evaluate(ckpt, "minibomber-static", episodes=3, seed=0,
                         env_kwargs={"size": 6}) == report
+
+    @pytest.mark.parametrize("env_name,env_kwargs,sample,episodes", [
+        ("gridgoal", {"size": 4, "max_steps": 30}, True, 8),
+        ("gridgoal", {"size": 4, "max_steps": 30}, False, 4),
+        ("minibomber-rulebased", {"size": 6, "max_steps": 60}, True, 3),
+    ], ids=["gridgoal-sampled", "gridgoal-greedy", "minibomber-rulebased-replays"])
+    def test_matches_a_reference_loop_that_calls_forward_batch_every_step(
+            self, tmp_path, monkeypatch, env_name, env_kwargs, sample, episodes):
+        env = make_env(env_name, **env_kwargs)
+        spec = env.spec()
+        cfg = ModelConfig(spec.obs_dim, spec.n_actions, (8,))
+        ckpt = self._checkpoint(tmp_path, spec.obs_dim, spec.n_actions)
+        replays = env_name.startswith("minibomber")
+        want, seen = reference_evaluate(ParamSet.load(ckpt), cfg, env, episodes, seed=2,
+                                        sample=sample,
+                                        replay_dir=str(tmp_path / "want") if replays else None)
+        calls = []
+        monkeypatch.setattr(harness, "forward_batch",
+                            lambda *args: calls.append(1) or forward_batch(*args))
+        got = evaluate(ckpt, env_name, episodes, seed=2, env_kwargs=env_kwargs, sample=sample,
+                       replay_dir=str(tmp_path / "got") if replays else None)
+        assert got == want
+        assert len(calls) == sum(len(set(observed)) for observed in seen)
+        if replays:
+            names = sorted(os.listdir(tmp_path / "want"))
+            assert names == sorted(os.listdir(tmp_path / "got")) and len(names) == episodes
+            for name in names:
+                assert (tmp_path / "got" / name).read_bytes() == \
+                    (tmp_path / "want" / name).read_bytes()
+        else:
+            assert len(calls) < sum(map(len, seen))  # some observations repeat
 
 
 class TestCli:

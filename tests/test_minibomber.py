@@ -389,6 +389,14 @@ BOARD_TEXT_REJECTIONS = {
     "powerup-kind-unknown": ("kind=3", "kind=4"),
     "alive-not-a-flag": ("alive=1 ammo=0", "alive=2 ammo=0"),
     "kick-not-a-flag": ("kick=1", "kick=7"),
+    "step-above-the-cap": ("step=3 cap=800", "step=801 cap=800"),
+    "bomb-timer-of-zero": ("timer=7", "timer=0"),
+    "bomb-timer-above-the-fuse": ("timer=7", "timer=11"),
+    "flame-life-of-zero": ("life=2", "life=0"),
+    "flame-life-above-the-lifetime": ("life=2", "life=3"),
+    "negative-ammo": ("ammo=0", "ammo=-1"),
+    "agent-radius-below-one": ("ammo=0 radius=2", "ammo=0 radius=0"),
+    "bomb-radius-below-one": ("timer=7 radius=2", "timer=7 radius=0"),
 }
 
 

@@ -175,6 +175,24 @@ class TestCollectRollout:
                 step, obs, ref_obs = 0, env.reset(rng), ref_env.reset(ref_rng)
         assert segments > episodes  # some segments bootstrapped from the critic
 
+    def test_acts_once_per_distinct_observation(self, monkeypatch):
+        calls = []
+        real_act = trainer.act
+
+        def counting_act(params, cfg, obs):
+            calls.append(obs.tobytes())
+            return real_act(params, cfg, obs)
+
+        monkeypatch.setattr(trainer, "act", counting_act)
+        cfg, params = tiny_model()
+        env = GridGoal(4, max_steps=1000)
+        rng = np.random.default_rng(6)  # visits 10 cells, in both halves of the grid
+        rollout, next_obs, done = collect_rollout(params, cfg, env, env.reset(rng), 0, rng,
+                                                  t_max=20)
+        seen = [o.tobytes() for o in rollout.obs] + ([] if done else [next_obs.tobytes()])
+        assert len(calls) == len(set(seen)) < len(seen)
+        assert sorted(calls) == sorted(set(seen))
+
 
 class TestComputeUpdate:
     def test_no_horizon_disables_tp_term(self):
