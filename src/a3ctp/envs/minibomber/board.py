@@ -565,4 +565,8 @@ def board_from_text(text: str) -> BomberBoard:
             powerups[r, c] = int(kv["kind"])
     if len(board.agents) != 2:
         raise ValueError(f"board text has {len(board.agents)} agents, not 2")
+    for kind, things in (("agents", board.agents), ("bombs", board.bombs), ("flames", board.flames)):
+        cells = [(x.row, x.col) for x in things]
+        if len(set(cells)) != len(cells):
+            raise ValueError(f"board text has two {kind} on one cell")
     return board

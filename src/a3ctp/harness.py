@@ -34,12 +34,6 @@ from .nn import ParamSet
 from .trainer import ALGORITHMS, METRICS_COLUMNS, MetricsRow, RunConfig, field_parsers, train
 
 
-def _format(x) -> str:
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
-
-
 def run_experiment(config: RunConfig) -> str:
     """One training run; returns the run directory path."""
     run_dir = config.out_dir
@@ -55,7 +49,7 @@ def run_experiment(config: RunConfig) -> str:
         timing.writerow(("episode", "wall_time_s"))
 
         def write(row: MetricsRow) -> None:
-            metrics.writerow([_format(getattr(row, c)) for c in METRICS_COLUMNS])
+            metrics.writerow([getattr(row, c) for c in METRICS_COLUMNS])
             timing.writerow([row.episode, f"{row.wall_time:.3f}"])
 
         try:
@@ -226,7 +220,6 @@ def evaluate(checkpoint_path: str, env_name: str, episodes: int, seed: int,
     for ep in range(episodes):
         obs = env.reset(rng)
         total, steps, done = 0.0, 0, False
-        info = {}
         acted: dict[bytes, np.ndarray] = {}
         while not done:
             key = obs.tobytes()

@@ -18,11 +18,12 @@ returns only what acting needs, the policy row and the value: the
 terminal-prediction head is trained from the rollout and never acted on.
 `forward_batch` takes a rollout, runs all three heads and caches only the
 arrays the backward pass needs: the trunk's outputs (tanh's derivative is
-taken from them) and the head outputs. Both read the trunk's parameter
-names from the `ModelConfig`, computed once per config. Training runs
-`forward_batch` over each rollout rather than reusing the activations of
-its act steps: a 1-row product rounds differently from the same row inside
-a batch.
+taken from them) and the head outputs. Both run the trunk through one
+function, `_trunk`, which checks the input width and runs the layers that
+`ModelConfig.trunk_keys` names, so `act` returns the bits of row 0 of a
+1-row `forward_batch`. Training runs `forward_batch` over each rollout
+rather than reusing the activations of its act steps: a 1-row product
+rounds differently from the same row inside a batch.
 """
 
 from __future__ import annotations
@@ -84,6 +85,28 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def _trunk(params: ParamSet, cfg: ModelConfig, obs2d: np.ndarray) -> list[np.ndarray]:
+    """The trunk's layer outputs for a (T, obs_dim) batch, the input first.
+    Raises ShapeError on a wrong observation width. Each layer adds its bias
+    and takes tanh in place on the product it allocates."""
+    if obs2d.shape[1] != cfg.obs_dim:
+        raise ShapeError(f"input width {obs2d.shape[1]} does not match fan-in {cfg.obs_dim}")
+    t = params.tensors
+    post = [obs2d]
+    for wkey, bkey in cfg.trunk_keys:
+        z = post[-1] @ t[wkey]
+        z += t[bkey]
+        post.append(np.tanh(z, out=z))
+    return post
+
+
+def _head(h: np.ndarray, t, name: str) -> np.ndarray:
+    """The pre-activation of head `name` on trunk output h."""
+    z = h @ t[f"{name}.W"]
+    z += t[f"{name}.b"]
+    return z
+
+
 def forward_batch(params: ParamSet, cfg: ModelConfig, obs: np.ndarray):
     """Batched forward through trunk and all heads.
 
@@ -92,17 +115,9 @@ def forward_batch(params: ParamSet, cfg: ModelConfig, obs: np.ndarray):
     a head output is NaN or Inf; non-finite trunk activations reach every
     head, so they raise too.
     """
-    obs = np.atleast_2d(np.asarray(obs, dtype=np.float64))
-    if obs.shape[1] != cfg.obs_dim:
-        raise ShapeError(f"input width {obs.shape[1]} does not match fan-in {cfg.obs_dim}")
-    t = params.tensors
-    post = [obs]
-    for wkey, bkey in cfg.trunk_keys:
-        post.append(np.tanh(post[-1] @ t[wkey] + t[bkey]))
-    h = post[-1]
-    logits = h @ t["policy.W"] + t["policy.b"]
-    v = h @ t["value.W"] + t["value.b"]
-    u = h @ t["tp.W"] + t["tp.b"]
+    post = _trunk(params, cfg, np.atleast_2d(np.asarray(obs, dtype=np.float64)))
+    h, t = post[-1], params.tensors
+    logits, v, u = (_head(h, t, name) for name in ("policy", "value", "tp"))
     if not (np.isfinite(logits).all() and np.isfinite(v).all() and np.isfinite(u).all()):
         raise NonFiniteError("non-finite activations in forward pass")
     probs = _softmax(logits)
@@ -131,15 +146,8 @@ def act(params: ParamSet, cfg: ModelConfig, obs: np.ndarray) -> tuple[np.ndarray
     not computed, so a non-finite `tp.*` parameter does not raise here; the
     forward_batch of the next compute_update raises for it.
     """
-    h = np.asarray(obs, dtype=np.float64)[None, :]
-    if h.shape[1] != cfg.obs_dim:
-        raise ShapeError(f"input width {h.shape[1]} does not match fan-in {cfg.obs_dim}")
+    h = _trunk(params, cfg, np.asarray(obs, dtype=np.float64)[None, :])[-1]
     t = params.tensors
-    # The same sums as forward_batch's, added in place.
-    for wkey, bkey in cfg.trunk_keys:
-        z = h @ t[wkey]
-        z += t[bkey]
-        h = np.tanh(z, out=z)
     logits = h @ t["policy.W"]
     logits += t["policy.b"]
     value = float((h @ t["value.W"])[0, 0] + t["value.b"][0])

@@ -1,11 +1,13 @@
 """Asynchronous multi-worker training loop.
 
-Each worker owns a private environment, a seeded rng, and a local copy of
-the network parameters. It collects rollouts of up to t_max steps (never
+Each worker owns a private environment, a seeded rng, and the parameters
+it acts and learns on. It collects rollouts of up to t_max steps (never
 crossing an episode boundary), computes and norm-clips gradients of the
-combined loss locally, hands them to the one `GlobalStore`, which applies
-them to the global network under a single writer lock, and reads the
-updated global parameters back into its local copy.
+combined loss locally, and hands them to the one `GlobalStore`, which
+applies them to the global network under a single writer lock and leaves
+the updated parameters in the worker's. A worker process's parameters are
+its own shared buffer, into which each update is copied; a one-worker run
+learns on the store's own parameters, so nothing is copied.
 
 The model has two forward entry points, and each has one place here.
 `collect_rollout` acts through `model.act`, one observation at a time,
@@ -48,7 +50,8 @@ exactly `workers - 1` updates older than those it is applied to.
 
 An update holds the lock for only three things: the Adam step over the flat
 parameter buffer, the version bump, and an `np.copyto` of the new global
-buffer into the worker's own local buffer. Clipping runs once per update,
+buffer into the worker's parameters, which with one worker are the global
+buffer itself, so numpy returns at once. Clipping runs once per update,
 in compute_update, before the lock is taken, and nothing is allocated
 inside it. Each worker owns one gradient set for the whole run, which
 compute_update refills per update: with one worker `train` makes it, and in
@@ -159,18 +162,18 @@ class RunConfig:
     env_size: int = 8
     env_max_steps: int = 0        # 0 = environment default
     algorithm: str = "a3c-tp"
-    lambda_v: float = 0.5
-    lambda_pi: float = 1.0
-    lambda_h: float = 0.01
-    lambda_tp: float = 0.5
-    gamma: float = 0.99
-    t_max: int = 20
-    hidden: str = "128,128"
+    lambda_v: float = LossWeights.lambda_v
+    lambda_pi: float = LossWeights.lambda_pi
+    lambda_h: float = LossWeights.lambda_h
+    lambda_tp: float = LossWeights.lambda_tp
+    gamma: float = LossWeights.gamma
+    t_max: int = LossWeights.t_max
+    hidden: str = ",".join(map(str, ModelConfig.hidden))
     workers: int = 8
     seed: int = 0
     episode_budget: int = 1000
     checkpoint_cadence: int = 0   # episodes between checkpoints; 0 = only final
-    lr: float = 1e-4
+    lr: float = AdamState.lr
     clip_norm: float = DEFAULT_CLIP_NORM
     moving_window: int = 100      # trailing episodes of moving_avg_reward and early stop
     early_stop_reward: float = float("nan")  # full-window mean that stops training; nan = never
@@ -269,7 +272,9 @@ class GlobalStore:
     target and checkpoint cadence all come from cfg.
 
     Snapshot reads copy under the lock; updates are serialized through
-    apply_and_sync, which `book` calls for every update.
+    apply_and_sync, which `book` calls for every update. A one-worker run
+    learns on `params` itself; a worker process's update is copied into its
+    shared parameter buffer.
     version increases by exactly one per applied update. `train` books
     one worker at a time, in a fixed turn, so the order of the updates, and
     with it every row and checkpoint, repeats for a given seed, worker
@@ -303,7 +308,7 @@ class GlobalStore:
         """One Adam step on the global params with grads as given (clipping
         belongs to compute_update). The new global params and version are
         copied into `local`, the worker's ParamSet of the same layout, which
-        is returned."""
+        is returned. With one worker `local` is `self.params` itself."""
         with self._lock:
             adam_step(self.params, grads, self.optimizer)
             np.copyto(local.flat, self.params.flat)
@@ -455,16 +460,17 @@ def train(cfg: RunConfig, env_factory, on_episode=None,
         if cfg.episode_budget <= 0:
             pass  # nothing to train, so no worker starts
         elif cfg.workers == 1:
-            local = store.snapshot()
-            grads = local.zeros_like()
+            # The worker learns on the store's own parameters: apply_and_sync's
+            # copy into them is a copy of a buffer onto itself.
+            grads = params.zeros_like()
             _worker_loop(model, weights, cfg.clip_norm, env0, np.random.default_rng(seeds[1]),
-                         local, grads, lambda episode: store.book(0, grads, local, episode))
+                         params, grads, lambda episode: store.book(0, grads, params, episode))
         else:
             _serve_workers(store, model, weights, env_factory, seeds[1:])
     except BaseException as exc:  # propagate after flushing
         error = exc
     if checkpoint_dir is not None:
-        store.snapshot().save(f"{checkpoint_dir}/final.ckpt")
+        params.save(f"{checkpoint_dir}/final.ckpt")  # training is over: no copy
     if error is not None:
         raise RuntimeError("worker failed") from error
     return store

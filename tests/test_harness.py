@@ -23,8 +23,10 @@ from a3ctp.harness import (
     METRICS_COLUMNS, EvalReport, RunConfig, evaluate, read_metrics, run_experiment, summarize,
     summary_table, sweep_lambda_tp,
 )
+from a3ctp.losses import LossWeights
 from a3ctp.model import ModelConfig, forward_batch, init_model, sample_action
-from a3ctp.nn import ParamSet
+from a3ctp.nn import AdamState, ParamSet
+from a3ctp.trainer import MetricsRow
 
 
 def trailing_means(series, window):
@@ -184,6 +186,13 @@ class TestRunConfig:
             RunConfig.load(path)
         assert str(info.value).startswith(f"{path}, line ")
 
+    def test_defaults_are_the_paper_constants(self):
+        # The CLI and every harness run train with RunConfig's defaults.
+        cfg = RunConfig()
+        assert cfg.weights() == LossWeights()
+        assert cfg.hidden_sizes() == ModelConfig.hidden
+        assert cfg.lr == AdamState.lr
+
     def test_plain_a3c_has_zero_tp_weight(self):
         assert RunConfig(algorithm="a3c", lambda_tp=0.75).weights().lambda_tp == 0.0
         assert RunConfig(algorithm="a3c-tp", lambda_tp=0.75).weights().lambda_tp == 0.75
@@ -234,6 +243,20 @@ class TestRunExperiment:
         m = read_metrics(run_dir)
         expect = trailing_means(m["reward"], 5)
         assert np.allclose(m["moving_avg_reward"], expect)
+
+    def test_numpy_floats_read_back(self, tmp_path, monkeypatch):
+        # A row whose float fields are numpy floats is written as plain
+        # float text, which read_metrics parses back to the same values.
+        row = MetricsRow(*(np.float64(i + 1) / 3 if f.type == "float" else i + 1
+                           for i, f in enumerate(dataclasses.fields(MetricsRow))))
+
+        def one_row(config, env_factory, on_episode=None, checkpoint_dir=None):
+            on_episode(row)
+
+        monkeypatch.setattr(harness, "train", one_row)
+        m = read_metrics(run_experiment(small_config(tmp_path)))
+        assert {c: m[c].tolist() for c in METRICS_COLUMNS} == \
+            {c: [getattr(row, c)] for c in METRICS_COLUMNS}
 
     def test_zero_budget_writes_header_only(self, tmp_path):
         run_dir = run_experiment(small_config(tmp_path, episode_budget=0))

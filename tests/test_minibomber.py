@@ -397,6 +397,9 @@ BOARD_TEXT_REJECTIONS = {
     "negative-ammo": ("ammo=0", "ammo=-1"),
     "agent-radius-below-one": ("ammo=0 radius=2", "ammo=0 radius=0"),
     "bomb-radius-below-one": ("timer=7 radius=2", "timer=7 radius=0"),
+    "agents-on-one-cell": ("agent 1 3 3", "agent 1 0 0"),
+    "two-bombs-on-one-cell": ("flame 2 2", "bomb 0 1 owner=1 timer=3 radius=1 dir=-\nflame 2 2"),
+    "two-flames-on-one-cell": ("powerup 3 0", "flame 2 2 life=1 owners=0\npowerup 3 0"),
 }
 
 

@@ -445,6 +445,25 @@ class TestTrain:
             counts.append(len(calls))
         assert counts == [3, 3]
 
+    def test_one_worker_copies_parameters_only_for_checkpoints(self, tmp_path, monkeypatch):
+        # The worker learns on the store's own parameters, and final.ckpt is
+        # written from them: only the periodic checkpoints copy them.
+        calls = []
+        real = ParamSet.copy
+
+        def counting(params):
+            calls.append(1)
+            return real(params)
+
+        monkeypatch.setattr(ParamSet, "copy", counting)
+        train(self._config(episode_budget=10), lambda wid: GridGoal(4, max_steps=20))
+        assert len(calls) == 0
+        store = train(self._config(episode_budget=10, checkpoint_cadence=5),
+                      lambda wid: GridGoal(4, max_steps=20), checkpoint_dir=str(tmp_path))
+        assert len(calls) == 2
+        final = ParamSet.load(tmp_path / "final.ckpt")
+        assert final.equal_bits(store.params) and final.version == store.params.version
+
     def test_labeler_tracks_episode_lengths(self):
         lengths = []
         store = train(self._config(episode_budget=15),
