@@ -4,10 +4,10 @@ Each worker owns a private environment, a seeded rng, and the parameters
 it acts and learns on. It collects rollouts of up to t_max steps (never
 crossing an episode boundary), computes and norm-clips gradients of the
 combined loss locally, and hands them to the one `GlobalStore`, which
-applies them to the global network under a single writer lock and leaves
-the updated parameters in the worker's. A worker process's parameters are
-its own shared buffer, into which each update is copied; a one-worker run
-learns on the store's own parameters, so nothing is copied.
+applies them to the global network and leaves the updated parameters in
+the worker's. A worker process's parameters are its own shared buffer,
+into which each update is copied; a one-worker run learns on the store's
+own parameters, so nothing is copied.
 
 The model has two forward entry points, and each has one place here.
 `collect_rollout` acts through `model.act`, one observation at a time,
@@ -15,59 +15,61 @@ which computes only the policy row and the value. It calls `act` once per
 distinct observation of the rollout (the bootstrap's included): a dict that
 lives for one call maps the observation's bytes to act's result, so it holds
 at most t_max + 1 entries. A hit is exact, because the key is the whole
-observation and the parameters do not change during a rollout: on both
-worker paths a worker's local parameters are written only while it waits
-for its update to be booked. `compute_update` runs `model.forward_batch`
-over the whole rollout for the backward pass. It does not reuse the act
-steps' activations, because a 1-row product rounds differently from the
-same row inside a batch, and every byte-identity reference rests on the
-batched forward.
+observation and the parameters do not change during a rollout: a worker's
+local parameters are written only while it waits for its update to be
+booked. `compute_update` runs `model.forward_batch` over the whole rollout
+for the backward pass. It does not reuse the act steps' activations,
+because a 1-row product rounds differently from the same row inside a
+batch, and every byte-identity reference rests on the batched forward.
 
-Where workers run: with one worker, the worker loop runs in the calling
-thread. With more, `train` forks exactly `workers` processes (this needs
-the POSIX `fork` start method), and the calling process keeps the
-`GlobalStore` and serves them: Adam, the lock, the episode ledger, the
-metrics rows and every checkpoint stay in that one process. Each worker
-runs `collect_rollout` and `compute_update`, with OpenBLAS pinned to one
-thread, over two anonymous shared-memory buffers made before the fork: its
-parameters and its gradients. Per update it computes its clipped gradients
-in the shared gradient buffer itself and sends one message, which carries
-the finished episode's length, reward and mean losses when the update
-ended one. The parent serves the live workers in a fixed turn: it receives
-from worker 0, books its update, which writes the new parameters into that
-worker's buffer, and replies with the horizon, the version and whether to
-stop; then worker 1, and so on. Any failure, in a worker or in the parent,
-terminates and joins every worker before `train` raises.
+Where workers run: a worker is one `_worker_loop` generator, which yields
+the episode its update ended and receives the horizon and version for its
+next update. One serve loop in the calling thread books every worker in a
+fixed turn: it receives from worker 0, books its update, which writes the
+new parameters into that worker's buffer, and replies with the horizon, the
+version and whether to stop; then worker 1, and so on. Each worker sits
+behind a pipe's recv and send. With one worker (and with any count, for
+the tests, through `train`'s `_in_thread`) the generator runs in the
+calling thread. With more, `train` forks exactly `workers` processes (this
+needs the POSIX `fork` start method), each running its generator behind
+its end of a pipe over two anonymous shared-memory buffers made before the
+fork: its parameters and its gradients. The parent reads a worker's
+gradients only while the worker waits for its reply, and replies as soon
+as the update is booked, so the other workers compute meanwhile. Adam, the
+episode ledger, the metrics rows and every checkpoint stay in the calling
+process. Any failure, in a worker or in the parent, terminates and joins
+every worker before `train` raises.
 
 What repeats: every run, at any worker count, is a function of the seed,
 the worker count and the numpy/BLAS build, so its metrics rows and
 checkpoints repeat bit for bit. Each worker's env, rng and parameters are
-its own, its BLAS runs on one thread, and the order of the updates is
-fixed by the turn; only the wall times (`timing.csv`) differ between
-reruns. The turn is one of the interleavings A3C allows: after the first
-turn, while all workers run, each update was computed on parameters
+its own; `train` pins OpenBLAS to one thread while it trains, which forked
+workers inherit, and restores the caller's count; and the order of the
+updates is fixed by the turn. Only the wall times (`timing.csv`) differ
+between reruns. The turn is one of the interleavings A3C allows: after the
+first turn, while all workers run, each update was computed on parameters
 exactly `workers - 1` updates older than those it is applied to.
 
-An update holds the lock for only three things: the Adam step over the flat
-parameter buffer, the version bump, and an `np.copyto` of the new global
-buffer into the worker's parameters, which with one worker are the global
-buffer itself, so numpy returns at once. Clipping runs once per update,
-in compute_update, before the lock is taken, and nothing is allocated
-inside it. Each worker owns one gradient set for the whole run, which
-compute_update refills per update: with one worker `train` makes it, and in
-a worker process it is the shared gradient buffer.
+Applying an update is three things: the Adam step over the flat parameter
+buffer, the version bump, and an `np.copyto` of the new global buffer into
+the worker's parameters, which with one worker are the global buffer
+itself, so numpy returns at once. Clipping runs once per update, in
+compute_update, and applying allocates nothing. Each worker owns one
+gradient set for the whole run, which compute_update refills per update:
+in the calling thread `train` makes it, and in a worker process it is the
+shared gradient buffer.
 
 The store is built once per run, from the run's `RunConfig`, and
-`GlobalStore.book` is the one call both worker paths make per update. It
+`GlobalStore.book` is the one call the serve loop makes per update. It
 applies the update, and when the update ended an episode it books the
-episode under the same lock: its length goes to the one TPLabeler (so
-terminal-prediction targets are computable at rollout time, before an
-episode finishes), it takes the next episode index, and its reward joins
-the one trailing window that both the `moving_avg_reward` column and early
-stopping read. Within the episode budget it also hands the episode's
-MetricsRow, with its wall time since the store was built, to `on_episode`,
-so rows arrive in index order, and copies the parameters when a periodic
-checkpoint is due; the file is written after the lock is released.
+episode: its length goes to the one TPLabeler (so terminal-prediction
+targets are computable at rollout time, before an episode finishes), it
+takes the next episode index, and its reward joins the one trailing window
+that both the `moving_avg_reward` column and early stopping read. Within
+the episode budget it also hands the episode's MetricsRow, with its wall
+time since the store was built, to `on_episode`, so rows arrive in index
+order, and writes a copy of the parameters when a periodic checkpoint is
+due.
 
 A run is described by one `RunConfig`, which `train` reads directly. The
 trainer computes the loss nowhere itself: `losses.loss_parts` owns the
@@ -82,7 +84,6 @@ from __future__ import annotations
 
 import os
 import pickle
-import threading
 import time
 from collections import deque
 from dataclasses import dataclass, fields, replace
@@ -97,7 +98,7 @@ from .nn import AdamState, ParamSet, adam_step, clip_global_norm
 
 DEFAULT_CLIP_NORM = 40.0
 # OpenBLAS's thread-count setter, by the names it has in numpy 2 wheels,
-# numpy 1 wheels and a system OpenBLAS.
+# numpy 1 wheels and a system OpenBLAS; its getter's name has "get" for "set".
 _BLAS_SET_THREADS = ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
                      "openblas_set_num_threads")
 
@@ -271,10 +272,9 @@ class GlobalStore:
     run that `cfg` describes: its reward window, episode budget, early-stop
     target and checkpoint cadence all come from cfg.
 
-    Snapshot reads copy under the lock; updates are serialized through
-    apply_and_sync, which `book` calls for every update. A one-worker run
-    learns on `params` itself; a worker process's update is copied into its
-    shared parameter buffer.
+    Updates go through apply_and_sync, which `book` calls for every update.
+    A one-worker run learns on `params` itself; any other worker's update is
+    copied into its own parameters.
     version increases by exactly one per applied update. `train` books
     one worker at a time, in a fixed turn, so the order of the updates, and
     with it every row and checkpoint, repeats for a given seed, worker
@@ -294,63 +294,53 @@ class GlobalStore:
         self.episode_count = 0
         self.rewards: deque[float] = deque(maxlen=cfg.moving_window)  # the trailing reward window
         self.start_time = time.monotonic()
-        self._lock = threading.Lock()
 
     @property
     def version(self) -> int:
         return self.params.version
-
-    def snapshot(self) -> ParamSet:
-        with self._lock:
-            return self.params.copy()
 
     def apply_and_sync(self, grads: ParamSet, local: ParamSet) -> ParamSet:
         """One Adam step on the global params with grads as given (clipping
         belongs to compute_update). The new global params and version are
         copied into `local`, the worker's ParamSet of the same layout, which
         is returned. With one worker `local` is `self.params` itself."""
-        with self._lock:
-            adam_step(self.params, grads, self.optimizer)
-            np.copyto(local.flat, self.params.flat)
-            local.version = self.params.version
+        adam_step(self.params, grads, self.optimizer)
+        np.copyto(local.flat, self.params.flat)
+        local.version = self.params.version
         return local
 
     def book(self, worker_id: int, grads: ParamSet, local: ParamSet, episode):
         """Book one update of worker `worker_id`: apply it through
         apply_and_sync, leaving the new parameters in `local`. When it ended
         an episode (episode = (length, reward, mean LossParts), else None),
-        book that too, all under the lock: record its length in the labeler,
-        take the next index, and append its reward to the trailing window.
-        Within the budget, hand its MetricsRow to on_episode (when given)
-        and, with a checkpoint_dir, copy the params when a checkpoint is
-        due; the copy is written after the lock is released. Returns the
-        horizon for the worker's next update and whether to stop: once the
-        budget is reached or a full window's mean reaches
+        book that too: record its length in the labeler, take the next
+        index, and append its reward to the trailing window. Within the
+        budget, hand its MetricsRow to on_episode (when given) and, with a
+        checkpoint_dir, write a copy of the params when a checkpoint is due.
+        Returns the horizon for the worker's next update and whether to
+        stop: once the budget is reached or a full window's mean reaches
         cfg.early_stop_reward (never, when it is nan)."""
         self.apply_and_sync(grads, local)
         if episode is None:
             return self.labeler.horizon, False
         length, reward, losses = episode
-        cfg, checkpoint = self.cfg, None
-        with self._lock:
-            self.labeler.record_episode(length)
-            self.episode_count += 1
-            index = self.episode_count
-            self.rewards.append(reward)
-            mean = sum(self.rewards) / len(self.rewards)
-            if index <= cfg.episode_budget:
-                if self.on_episode is not None:
-                    self.on_episode(MetricsRow(
-                        worker_id, index, length, reward, self.labeler.horizon,
-                        losses.policy_loss, losses.value_loss, losses.tp_loss,
-                        losses.entropy, mean, time.monotonic() - self.start_time))
-                if (self.checkpoint_dir is not None and cfg.checkpoint_cadence > 0
-                        and index % cfg.checkpoint_cadence == 0):
-                    checkpoint = self.params.copy()
-            full = len(self.rewards) == self.rewards.maxlen
-            stop = index >= cfg.episode_budget or (full and mean >= cfg.early_stop_reward)
-        if checkpoint is not None:
-            checkpoint.save(f"{self.checkpoint_dir}/ep{index:08d}.ckpt")
+        cfg = self.cfg
+        self.labeler.record_episode(length)
+        self.episode_count += 1
+        index = self.episode_count
+        self.rewards.append(reward)
+        mean = sum(self.rewards) / len(self.rewards)
+        if index <= cfg.episode_budget:
+            if self.on_episode is not None:
+                self.on_episode(MetricsRow(
+                    worker_id, index, length, reward, self.labeler.horizon,
+                    losses.policy_loss, losses.value_loss, losses.tp_loss,
+                    losses.entropy, mean, time.monotonic() - self.start_time))
+            if (self.checkpoint_dir is not None and cfg.checkpoint_cadence > 0
+                    and index % cfg.checkpoint_cadence == 0):
+                self.params.copy().save(f"{self.checkpoint_dir}/ep{index:08d}.ckpt")
+        full = len(self.rewards) == self.rewards.maxlen
+        stop = index >= cfg.episode_budget or (full and mean >= cfg.early_stop_reward)
         return self.labeler.horizon, stop
 
 
@@ -425,8 +415,8 @@ def compute_update(rollout: Rollout, params: ParamSet, cfg: ModelConfig,
     return parts
 
 
-def train(cfg: RunConfig, env_factory, on_episode=None,
-          checkpoint_dir: str | None = None) -> GlobalStore:
+def train(cfg: RunConfig, env_factory, on_episode=None, checkpoint_dir: str | None = None,
+          _in_thread: bool = False) -> GlobalStore:
     """Run cfg.workers asynchronous workers until the episode budget (or
     the early-stop target) is reached.
 
@@ -436,39 +426,34 @@ def train(cfg: RunConfig, env_factory, on_episode=None,
     fields are not read here. The run's one GlobalStore is built from cfg,
     on_episode and checkpoint_dir, and books every update: on_episode(row),
     when given, is called with the MetricsRow of each episode within the
-    budget, in episode order, from the calling thread, under the store's
-    lock. With a checkpoint_dir, a checkpoint is written every
-    cfg.checkpoint_cadence episodes and final.ckpt at the end. With one
-    worker the worker runs in the calling thread; with more, each runs in a
-    forked process and the calling thread serves their updates. Any failure
-    stops every worker and raises RuntimeError("worker failed") from its
-    cause, after the final checkpoint is written. Returns the GlobalStore
-    with final parameters.
+    budget, in episode order, from the calling thread. With a
+    checkpoint_dir, a checkpoint is written every cfg.checkpoint_cadence
+    episodes and final.ckpt at the end. With one worker, or with
+    `_in_thread`, every worker runs in the calling thread; otherwise each
+    runs in a forked process. Either way the calling thread serves their
+    updates in one fixed turn, so `_in_thread` gives the forked run's rows
+    and checkpoints. OpenBLAS runs on one thread while workers train, and
+    the caller's thread count is restored before `train` returns or raises.
+    Any failure stops every worker and raises RuntimeError("worker failed")
+    from its cause, after the final checkpoint is written. Returns the
+    GlobalStore with final parameters.
     """
-    env0 = env_factory(0)
-    spec = env0.spec()
+    spec = env_factory(0).spec()
     model = ModelConfig(spec.obs_dim, spec.n_actions, cfg.hidden_sizes())
-    weights = cfg.weights()
     if checkpoint_dir is not None:
         os.makedirs(checkpoint_dir, exist_ok=True)
     seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.workers + 1)
     params = init_model(model, np.random.default_rng(seeds[0]))
     store = GlobalStore(params, AdamState.for_params(params, lr=cfg.lr), cfg,
                         on_episode, checkpoint_dir)
-    error = None
+    error, blas_threads = None, _blas_threads(1)
     try:
-        if cfg.episode_budget <= 0:
-            pass  # nothing to train, so no worker starts
-        elif cfg.workers == 1:
-            # The worker learns on the store's own parameters: apply_and_sync's
-            # copy into them is a copy of a buffer onto itself.
-            grads = params.zeros_like()
-            _worker_loop(model, weights, cfg.clip_norm, env0, np.random.default_rng(seeds[1]),
-                         params, grads, lambda episode: store.book(0, grads, params, episode))
-        else:
-            _serve_workers(store, model, weights, env_factory, seeds[1:])
+        if cfg.episode_budget > 0:  # else nothing to train, so no worker starts
+            _serve_workers(store, model, cfg.weights(), env_factory, seeds[1:],
+                           fork=cfg.workers > 1 and not _in_thread)
     except BaseException as exc:  # propagate after flushing
         error = exc
+    _blas_threads(blas_threads)
     if checkpoint_dir is not None:
         params.save(f"{checkpoint_dir}/final.ckpt")  # training is over: no copy
     if error is not None:
@@ -476,15 +461,17 @@ def train(cfg: RunConfig, env_factory, on_episode=None,
     return store
 
 
-def _worker_loop(model: ModelConfig, weights: LossWeights, clip_norm: float, env: Environment,
-                 rng: np.random.Generator, local: ParamSet, grads: ParamSet, book):
-    """One worker, one outer iteration per episode: collect a rollout with
-    `local`, compute its clipped gradients into `grads`, and call
-    book(episode), which applies them, leaves the new parameters in
-    `local`, and returns the horizon for the next update and whether to
-    stop. episode is None, or, when the rollout ended an episode, (length,
-    reward, mean LossParts). Each loss part is summed with `+=` in update
-    order, which rounds the same on every Python version, unlike `sum`."""
+def _worker_loop(wid: int, model: ModelConfig, weights: LossWeights, clip_norm: float,
+                 env_factory, seed, local: ParamSet, grads: ParamSet):
+    """Worker `wid` as a generator, one outer iteration per episode, on its
+    own env_factory(wid) and rng seeded with `seed`: collect a rollout with
+    `local`, compute its clipped gradients into `grads`, and yield the
+    episode, None or, when the rollout ended one, (length, reward, mean
+    LossParts). It receives (horizon, version) once the update is booked,
+    with the new parameters in `local`. Each loss part is summed with `+=`
+    in update order, which rounds the same on every Python version, unlike
+    `sum`."""
+    env, rng = env_factory(wid), np.random.default_rng(seed)
     horizon = None  # no episode has finished yet
     while True:
         obs, length, reward, done = env.reset(rng), 0, 0.0, False
@@ -501,9 +488,23 @@ def _worker_loop(model: ModelConfig, weights: LossWeights, clip_norm: float, env
                 sums[i] += x
             n_updates += 1
             episode = (length, reward, LossParts(*(x / n_updates for x in sums))) if done else None
-            horizon, stop = book(episode)
-            if stop:
-                return
+            horizon, local.version = yield episode
+
+
+class _InThread:
+    """A `_worker_loop` generator behind a pipe's recv and send, run in the
+    calling thread: recv runs it to its next update and returns the episode
+    it yields, and send keeps the reply's horizon and version for the next
+    recv to pass in."""
+
+    def __init__(self, loop):
+        self.loop, self.reply, self.close = loop, None, loop.close
+
+    def recv(self):
+        return self.loop.send(self.reply)
+
+    def send(self, reply):
+        self.reply = reply[:2]
 
 
 class WorkerError(Exception):
@@ -520,15 +521,17 @@ class WorkerError(Exception):
 
 
 def _serve_workers(store: GlobalStore, model: ModelConfig, weights: LossWeights, env_factory,
-                   seeds) -> None:
-    """Fork store.cfg.workers processes, one per worker, and book their
-    updates through store.book(wid, grads, local, episode) until every
-    worker has been told to stop, serving the live workers in worker order,
-    one update each per turn. Each worker owns two anonymous shared
-    buffers, its parameters and its gradients; per update it sends one
+                   seeds, fork: bool) -> None:
+    """Start store.cfg.workers `_worker_loop` generators, each behind a pipe,
+    and book their updates through store.book(wid, grads, local, episode)
+    until every worker has been told to stop, serving the live workers in
+    worker order, one update each per turn. Per update a worker sends one
     message (the episode it ended, or None) and gets back (horizon,
-    version, stop). On any failure every worker is terminated and joined
-    before the error propagates."""
+    version, stop). With `fork`, each worker is a forked process that owns
+    two anonymous shared buffers, its parameters and its gradients;
+    otherwise each runs in this thread, and one worker learns on the
+    store's own parameters. On any failure every worker process is
+    terminated and joined before the error propagates."""
     import mmap
     import multiprocessing
 
@@ -540,29 +543,34 @@ def _serve_workers(store: GlobalStore, model: ModelConfig, weights: LossWeights,
         flat = np.frombuffer(mmap.mmap(-1, nbytes), dtype=np.float64)
         return ParamSet._over(flat, layout, version)
 
-    workers = []  # (process, connection, local params, grads)
+    procs, workers = [], []  # the forked processes; per worker (connection, local params, grads)
     try:
         for wid in range(cfg.workers):
-            local, grads = shared(params.version), shared(0)
-            np.copyto(local.flat, params.flat)
-            conn, child_conn = ctx.Pipe()
-            proc = ctx.Process(target=_worker_process, daemon=True, args=(
-                wid, model, weights, cfg.clip_norm, env_factory, seeds[wid], local, grads,
-                child_conn))
-            proc.start()
-            child_conn.close()  # the worker's exit then reads as EOF here
-            workers.append((proc, conn, local, grads))
+            args = (wid, model, weights, cfg.clip_norm, env_factory, seeds[wid])
+            if fork:
+                local, grads = shared(params.version), shared(0)
+                np.copyto(local.flat, params.flat)
+                conn, child_conn = ctx.Pipe()
+                procs.append(ctx.Process(target=_worker_process, daemon=True,
+                                         args=(*args, local, grads, child_conn)))
+                procs[wid].start()
+                child_conn.close()  # the worker's exit then reads as EOF here
+            else:
+                local = params if cfg.workers == 1 else params.copy()
+                grads = params.zeros_like()
+                conn = _InThread(_worker_loop(*args, local, grads))
+            workers.append((conn, local, grads))
         live = list(range(cfg.workers))  # served in this order, one update each per turn
         stop = False
         while live:
             for wid in list(live):
-                proc, conn, local, grads = workers[wid]
+                conn, local, grads = workers[wid]
                 try:
                     msg = conn.recv()
                 except EOFError:
-                    proc.join()
-                    raise ChildProcessError(f"worker {wid} exited with code {proc.exitcode} "
-                                            "without a message") from None
+                    procs[wid].join()
+                    raise ChildProcessError(f"worker {wid} exited with code "
+                                            f"{procs[wid].exitcode} without a message") from None
                 if isinstance(msg, WorkerError):
                     if msg.exc is None:
                         raise msg
@@ -572,33 +580,31 @@ def _serve_workers(store: GlobalStore, model: ModelConfig, weights: LossWeights,
                 conn.send((horizon, local.version, stop))
                 if stop:
                     live.remove(wid)
-        for proc, *_ in workers:  # let told workers exit before `finally` kills stragglers
+        for proc in procs:  # let told workers exit before `finally` kills stragglers
             proc.join()
     finally:
-        for proc, *_ in workers:
+        for proc in procs:
             if proc.is_alive():
                 proc.terminate()
-        for proc, conn, *_ in workers:
+        for proc in procs:
             proc.join()
+        for conn, *_ in workers:
             conn.close()
 
 
 def _worker_process(wid: int, model: ModelConfig, weights: LossWeights, clip_norm: float,
                     env_factory, seed, local: ParamSet, grads: ParamSet, conn) -> None:
     """Body of a forked worker: `local` and `grads` are its shared buffers,
-    and conn its end of the pipe to the parent. The parent reads `grads`
-    only while the worker waits for its reply, so the worker computes each
-    update in place there."""
+    and conn its end of the pipe to the parent. It relays between its
+    `_worker_loop` and the parent until told to stop."""
     try:
-        _pin_blas_to_one_thread()
-
-        def book(episode):
-            conn.send(episode)
-            horizon, local.version, stop = conn.recv()
-            return horizon, stop
-
-        _worker_loop(model, weights, clip_norm, env_factory(wid), np.random.default_rng(seed),
-                     local, grads, book)
+        loop = _worker_loop(wid, model, weights, clip_norm, env_factory, seed, local, grads)
+        reply = None
+        while True:
+            conn.send(loop.send(reply))
+            *reply, stop = conn.recv()
+            if stop:
+                return
     except BaseException as exc:
         import traceback
         try:
@@ -610,16 +616,16 @@ def _worker_process(wid: int, model: ModelConfig, weights: LossWeights, clip_nor
                               "".join(traceback.format_exception(exc)), sent))
 
 
-def _pin_blas_to_one_thread() -> None:
-    """Limit the OpenBLAS that numpy has loaded to one thread, through its
-    set_num_threads symbol, so that workers do not oversubscribe the cores.
-    The library is found in /proc/self/maps; without it, nothing happens."""
+def _blas_threads(n: int) -> int:
+    """Set the OpenBLAS that numpy has loaded, found in /proc/self/maps, to
+    n threads, and return the count it had. Without it, nothing happens and
+    n is returned."""
     import ctypes
     try:
         with open("/proc/self/maps") as f:
             entries = [line.split(None, 5) for line in f]
     except OSError:
-        return
+        return n
     paths = {e[5].strip() for e in entries if len(e) == 6 and "openblas" in e[5]}
     for path in sorted(paths):
         try:
@@ -628,7 +634,10 @@ def _pin_blas_to_one_thread() -> None:
             continue
         for name in _BLAS_SET_THREADS:
             setter = getattr(lib, name, None)
-            if setter is not None:
+            getter = getattr(lib, name.replace("set", "get"), None)
+            if setter is not None and getter is not None:
+                previous = getter()
                 setter.argtypes, setter.restype = [ctypes.c_int], None
-                setter(1)
-                return
+                setter(n)
+                return previous
+    return n

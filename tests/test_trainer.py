@@ -7,9 +7,7 @@ import dataclasses
 import multiprocessing
 import os
 import signal
-import sys
 import tempfile
-import threading
 
 import numpy as np
 import pytest
@@ -71,16 +69,18 @@ def make_rollout(T=5, terminal=False, bootstrap=0.0):
     )
 
 
+def train_once(cfg, env_factory, ckpt_dir, **kw):
+    """One run into ckpt_dir: the repr of each metrics row with its wall
+    time zeroed, and the bytes of each checkpoint file by name."""
+    rows = []
+    train(cfg, env_factory, checkpoint_dir=str(ckpt_dir),
+          on_episode=lambda row: rows.append(repr(dataclasses.replace(row, wall_time=0.0))), **kw)
+    return rows, {p.name: p.read_bytes() for p in ckpt_dir.iterdir()}
+
+
 def train_twice(cfg, env_factory, tmp_path):
-    """Two runs of one config: per run, the repr of each metrics row with
-    its wall time zeroed, and the bytes of each checkpoint file by name."""
-    runs = []
-    for i in range(2):
-        rows, ckpt_dir = [], tmp_path / f"run{i}"
-        train(cfg, env_factory, checkpoint_dir=str(ckpt_dir),
-              on_episode=lambda row: rows.append(repr(dataclasses.replace(row, wall_time=0.0))))
-        runs.append((rows, {p.name: p.read_bytes() for p in ckpt_dir.iterdir()}))
-    return runs
+    """Two runs of one config, as train_once gives them."""
+    return [train_once(cfg, env_factory, tmp_path / f"run{i}") for i in range(2)]
 
 
 def reference_rollout(params, cfg, env, obs, episode_step, rng, t_max):
@@ -255,14 +255,14 @@ class TestGlobalStore:
         g = store.params.zeros_like()
         g["policy.b"] = np.ones_like(g["policy.b"])
         v0 = store.version
-        local = store.snapshot()
+        local = store.params.copy()
         store.apply_and_sync(g.copy(), local)
         store.apply_and_sync(g.copy(), local)
         assert store.version == v0 + 2 and store.optimizer.step == 2
 
     def test_sync_copies_into_the_local_buffer(self):
         cfg, store = self._store()
-        local = store.snapshot()
+        local = store.params.copy()
         flat = local.flat
         g = store.params.zeros_like()
         g["policy.b"] = np.ones_like(g["policy.b"])
@@ -271,19 +271,13 @@ class TestGlobalStore:
         assert local.equal_bits(store.params)
         assert not np.shares_memory(local.flat, store.params.flat)
 
-    def test_snapshot_is_independent(self):
-        cfg, store = self._store()
-        snap = store.snapshot()
-        snap["policy.b"][:] = 99.0
-        assert not np.any(store.params["policy.b"] == 99.0)
-
     def test_book_moving_average(self):
         cfg, params = tiny_model()
         rows = []
         store = GlobalStore(params, AdamState.for_params(params),
                             RunConfig(episode_budget=100, early_stop_reward=0.5, moving_window=4),
                             rows.append)
-        local, zeros = store.snapshot(), params.zeros_like()
+        local, zeros = store.params.copy(), params.zeros_like()
         book = lambda r: store.book(0, zeros, local, (3, r, trainer.LossParts()))[1]
         for r in [1.0, 0.0, 1.0]:
             stop = book(r)
@@ -299,7 +293,7 @@ class TestGlobalStore:
         rows = []
         store = GlobalStore(params, AdamState.for_params(params), RunConfig(episode_budget=2),
                             rows.append)
-        local, zeros = store.snapshot(), params.zeros_like()
+        local, zeros = store.params.copy(), params.zeros_like()
         stops = [store.book(0, zeros, local, (3, 0.0, trainer.LossParts()))[1] for _ in range(3)]
         assert stops == [False, True, True]
         assert [row.episode for row in rows] == [1, 2]
@@ -326,7 +320,7 @@ class TestGlobalStore:
                                 RunConfig(moving_window=window, episode_budget=budget,
                                           checkpoint_cadence=cadence, early_stop_reward=target),
                                 rows.append, ckpt_dir)
-            local, zeros = store.snapshot(), params.zeros_like()
+            local, zeros = store.params.copy(), params.zeros_like()
             for update in updates:
                 if update is None:
                     got.append(store.book(0, zeros, local, None))
@@ -490,49 +484,6 @@ class TestLock:
         assert len(calls) == store.version
         assert all(c == trainer.DEFAULT_CLIP_NORM for c in calls)
 
-    def test_concurrent_updates_are_neither_lost_nor_torn(self):
-        n_threads, k = 6, 40
-        cfg, params = tiny_model(hidden=(32,))
-        grads = params.zeros_like()
-        grads.flat[:] = np.random.default_rng(9).normal(size=grads.flat.size)
-
-        serial = GlobalStore(params.copy(), AdamState.for_params(params), RunConfig())
-        local = serial.snapshot()
-        for _ in range(n_threads * k):
-            serial.apply_and_sync(grads.copy(), local=local)
-
-        store = GlobalStore(params.copy(), AdamState.for_params(params), RunConfig())
-        errors = []
-        start = threading.Barrier(n_threads)
-
-        def work():
-            try:
-                mine, g = store.snapshot(), grads.copy()
-                start.wait(timeout=30)
-                for _ in range(k):
-                    store.apply_and_sync(g, local=mine)
-                    assert mine.version <= store.version
-            except BaseException as exc:
-                errors.append(exc)
-
-        old_interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=work, daemon=True) for _ in range(n_threads)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(old_interval)
-        assert not any(t.is_alive() for t in threads)
-        assert not errors, errors
-        assert store.version == n_threads * k
-        assert store.optimizer.step == n_threads * k
-        assert store.params.equal_bits(serial.params)
-        assert store.optimizer.m.equal_bits(serial.optimizer.m)
-        assert store.optimizer.v.equal_bits(serial.optimizer.v)
-
 
 class TestProcesses:
     """workers > 1: one forked process per worker, served by the caller."""
@@ -629,3 +580,70 @@ class TestProcesses:
                   on_episode=failing_writer)
         assert isinstance(info.value.__cause__, OSError)
         assert multiprocessing.active_children() == []
+
+
+class TestInThread:
+    """`train(..., _in_thread=True)` runs every worker in the calling thread
+    and serves them in the turn that serves the forked workers, so it is the
+    process path's oracle: it compares the bits of every update."""
+
+    @pytest.mark.parametrize("workers", [2, 8])
+    @pytest.mark.parametrize("env, fields", [
+        ("gridgoal", dict(env_size=4, hidden="8")),
+        ("polebalance", dict(hidden="16")),
+        ("minibomber-static", dict(env_size=6, env_max_steps=30)),
+    ], ids=["gridgoal", "polebalance", "minibomber-static-6"])
+    def test_gives_the_rows_and_checkpoints_of_the_forked_run(self, tmp_path, monkeypatch,
+                                                               env, fields, workers):
+        cfg = RunConfig(env=env, workers=workers, seed=1, episode_budget=24,
+                        checkpoint_cadence=6, **fields)
+        factory = lambda wid: make_env(cfg.env, **cfg.env_kwargs())
+        with deadline(120):
+            forked = train_once(cfg, factory, tmp_path / "forked")
+        fork = multiprocessing.get_context("fork").Process
+        monkeypatch.setattr(fork, "start", lambda proc: pytest.fail("a process started"))
+        in_thread = train_once(cfg, factory, tmp_path / "in-thread", _in_thread=True)
+        assert len(forked[0]) == 24
+        assert sorted(forked[1]) == [f"ep{i:08d}.ckpt" for i in (6, 12, 18, 24)] + ["final.ckpt"]
+        assert in_thread == forked
+
+
+class TestBlasThreads:
+    """`train` runs OpenBLAS on one thread and gives the caller its count back."""
+
+    @pytest.fixture(autouse=True)
+    def caller_threads(self):
+        previous = trainer._blas_threads(2)
+        if trainer._blas_threads(2) != 2:
+            trainer._blas_threads(previous)
+            pytest.skip("numpy's OpenBLAS thread count cannot be set here")
+        yield
+        trainer._blas_threads(previous)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_bits_do_not_depend_on_the_callers_thread_count(self, tmp_path, workers):
+        # On 6x6 boards the first layer's rollout product rounds differently
+        # at one and at two OpenBLAS threads.
+        cfg = RunConfig(env="minibomber-static", env_size=6, workers=workers, seed=1,
+                        episode_budget=30)
+        runs = []
+        for threads in (1, 2):
+            trainer._blas_threads(threads)
+            with deadline(120):
+                runs.append(train_once(cfg, lambda wid: make_env(cfg.env, **cfg.env_kwargs()),
+                                       tmp_path / f"threads{threads}"))
+        assert len(runs[0][0]) == 30 and "final.ckpt" in runs[0][1]
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_train_restores_the_callers_count_on_return_and_on_raise(self, workers):
+        cfg = RunConfig(hidden="8", workers=workers, seed=3, episode_budget=10)
+        during = []
+        with deadline(60):
+            train(cfg, lambda wid: GridGoal(4, max_steps=20),
+                  on_episode=lambda row: during.append(trainer._blas_threads(1)))
+        assert during == [1] * 10
+        assert trainer._blas_threads(2) == 2
+        with deadline(60), pytest.raises(RuntimeError, match="worker failed"):
+            train(cfg, lambda wid: RaisingGrid(4, max_steps=20))
+        assert trainer._blas_threads(2) == 2

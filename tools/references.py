@@ -8,7 +8,11 @@ Usage: python3 tools/references.py
 
 Prints one "name prefix... ok|MISMATCH" line per run or evaluation, and
 exits 1 naming every one whose digests differ from its reference.
-The references were taken with one OpenBLAS thread, so the tool sets
+`train` runs OpenBLAS on one thread whatever the caller's count, so the
+training digests do not depend on OPENBLAS_NUM_THREADS. The 6x6 run pins
+that: its first layer's rollout product rounds differently at two threads.
+The evaluations run in the caller's pool, with 1-row forwards; their
+references were taken with one thread, so the tool sets
 OPENBLAS_NUM_THREADS=1 unless it is already set. Training bits depend on
 the host's numpy/BLAS kernels, so a mismatch on another build does not by
 itself mean the program changed; compare against a run of the parent
@@ -47,6 +51,9 @@ REFERENCES = {
     "minibomber-rulebased": (dict(env="minibomber-rulebased", workers=1, seed=0,
                                   episode_budget=20, env_max_steps=200),
                              ("cf366e14", "828d0fab")),
+    "minibomber-static-6x6": (dict(env="minibomber-static", env_size=6, workers=1, seed=1,
+                                   episode_budget=30),
+                              ("ca284d82", "510ebaeb")),
     "minibomber-static-2w": (dict(env="minibomber-static", workers=2, seed=1, episode_budget=40,
                                   checkpoint_cadence=10),
                              ("d1d197e2", "88655fa6")),
